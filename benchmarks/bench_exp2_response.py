@@ -7,17 +7,12 @@ ARIMA.
 """
 import dataclasses
 
-from benchmarks.conftest import save_result
-from repro.experiments.common import load_ads
-from repro.experiments.exp2_response import PAPER_EXP2, run_exp2
+from repro.experiments.common import load_ads, save_result
+from repro.experiments.exp2_response import PAPER_EXP2, SF, run_exp2
 
 
 def test_exp2_response(benchmark, spark, bench_cfg):
-    # Response time is the one experiment whose shape needs table size:
-    # at SF=0.1 the ~300 ms per-query floor (plan compile + scheduling)
-    # hides the scan cost. SF=0.4 (60k rows/day, ~10M rows) makes the
-    # full-scan portion clearly dominate, as in the paper.
-    cfg = dataclasses.replace(bench_cfg, sf=0.4)
+    cfg = dataclasses.replace(bench_cfg, sf=SF)
     df = load_ads(spark, cfg)
     try:
         result = benchmark.pedantic(

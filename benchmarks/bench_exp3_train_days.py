@@ -3,7 +3,7 @@
 Shape to reproduce: more training days give lower / more stable forecast
 error (paper: 150 days best for both ARIMA and LSTM).
 """
-from benchmarks.conftest import save_result
+from repro.experiments.common import save_result
 from repro.experiments.exp3_train_days import run_exp3
 
 

@@ -4,7 +4,7 @@ Shape to reproduce: Priority ≈ Opt-GSW best, Uniform worst, compressed
 GSW in between and approaching Opt-GSW as rate grows; aggregation
 error falls with sampling rate; interval widths narrow with rate.
 """
-from benchmarks.conftest import save_result
+from repro.experiments.common import save_result
 from repro.experiments.exp4_sweep import run_exp4
 
 

@@ -5,7 +5,7 @@ samples is a multiple (paper: ≈1.8×) of the single Arithmetic
 compressed GSW sample at the same aggregation error, and well below the
 naive 4× of storing four independent optimal samples at full rate.
 """
-from benchmarks.conftest import save_result
+from repro.experiments.common import save_result
 from repro.experiments.exp5_space import run_exp5
 from repro.synth_data import ADS_MEASURES
 

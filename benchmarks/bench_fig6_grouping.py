@@ -7,7 +7,7 @@ trend (small L1 → small error).
 """
 import numpy as np
 
-from benchmarks.conftest import save_result
+from repro.experiments.common import save_result
 from repro.experiments.fig6_grouping import run_fig6
 
 

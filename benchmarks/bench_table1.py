@@ -6,7 +6,7 @@ relation and records it to results/table1.txt.
 """
 import dataclasses
 
-from benchmarks.conftest import save_result
+from repro.experiments.common import save_result
 from repro.experiments.table1 import PAPER_TABLE1, run_table1
 
 

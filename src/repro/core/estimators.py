@@ -7,7 +7,8 @@ same Catalyst plan shape: ``Filter(C) → Aggregate(t, SUM(x))`` — one
 scan answers all t₀ aggregation queries, as the paper notes.
 
 Results come back as dense numpy arrays indexed by day (missing days are
-0 — no surviving rows means the subset-sum estimate is 0).
+0 — no surviving rows means the subset-sum estimate is 0). A row whose
+day lies outside ``[0, days)`` raises instead of being dropped.
 """
 from __future__ import annotations
 
@@ -28,8 +29,9 @@ def _series(df: DataFrame, where: str | None, value_col: str, days: int) -> np.n
     out = np.zeros(days, dtype="float64")
     for r in rows:
         t = int(r["t"])
-        if 0 <= t < days:
-            out[t] = float(r["s"] or 0.0)
+        if not 0 <= t < days:
+            raise ValueError(f"day t={t} lies outside [0, {days})")
+        out[t] = float(r["s"] or 0.0)
     return out
 
 

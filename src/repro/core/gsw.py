@@ -42,13 +42,19 @@ def arithmetic_weight(measures: list[str]) -> Column:
 def geometric_weight(measures: list[str]) -> Column:
     """w_i = geometric mean of the group's measures (Cor. 5).
 
-    Computed as ``exp(mean(log m))``; measures must be strictly positive
-    (the ads generator guarantees ≥ 1).
+    Computed as ``exp(mean(log m))`` over the row's *positive* measures.
+    A plain geometric mean is 0 (``log 0`` is null in Spark) as soon as one
+    measure is 0, so such a row could never be sampled and its nonzero
+    group-mate measures would drop out of every estimate. Any ``w > 0``
+    keeps the HT estimate unbiased; a row whose measures are all 0 gets
+    ``w = 0`` and contributes nothing either way.
     """
-    s = F.lit(0.0)
+    logs, k = F.lit(0.0), F.lit(0.0)
     for m in measures:
-        s = s + F.log(F.col(m).cast("double"))
-    return F.exp(s / F.lit(float(len(measures))))
+        v = F.col(m).cast("double")
+        logs = logs + F.when(v > 0, F.log(v)).otherwise(0.0)
+        k = k + (v > 0).cast("double")
+    return F.when(k > 0, F.exp(logs / k)).otherwise(0.0)
 
 
 def gsw_sample(
@@ -121,7 +127,8 @@ def solve_delta(
     single Spark aggregate computing ``f`` and ``f'``. The initial guess
     ``Δ₀ = W/target`` satisfies ``f(Δ₀) ≤ target``; Newton then converges
     monotonically from that side; a bisection bracket guards against
-    overshoot into Δ ≤ 0.
+    overshoot into Δ ≤ 0. Raises ``RuntimeError`` if ``f`` is not within
+    ``rtol`` of the target after ``max_iter`` iterations.
     """
     if target_size <= 0:
         raise ValueError("target_size must be positive")
@@ -150,7 +157,10 @@ def solve_delta(
         if (nxt <= lo) or (hi is not None and nxt >= hi) or step == 0.0:
             nxt = (lo + hi) / 2 if hi is not None else delta / 2
         delta = nxt
-    return delta
+    raise RuntimeError(
+        f"solve_delta: no Δ within rtol={rtol} of target {target_size:g} "
+        f"after {max_iter} iterations (last Δ={delta:g})"
+    )
 
 
 def delta_for_rate(df: DataFrame, weight: Column, rate: float, **kw) -> float:

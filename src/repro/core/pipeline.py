@@ -85,25 +85,24 @@ class FlashP:
         else:
             w, measures = arithmetic_weight(list(weights)), list(weights)
         delta = delta_for_rate(self.df, w, rate)
-        s = gsw_sample(self.df, w, delta, measures=measures, seed=seed).coalesce(4).cache()
-        s.count()  # materialize now: the paper's sampling phase is offline
-        self._samples[name] = s
-        return s
+        return self._cache(name, gsw_sample(self.df, w, delta, measures=measures, seed=seed))
 
     def add_uniform_sample(
         self, name: str, *, rate: float, seed: int = 0
     ) -> DataFrame:
-        s = uniform_sample(self.df, rate, measures=self.measures, seed=seed).coalesce(4).cache()
-        s.count()
-        self._samples[name] = s
-        return s
+        return self._cache(name, uniform_sample(self.df, rate, measures=self.measures, seed=seed))
 
     def add_priority_sample(
         self, name: str, *, rate: float, measure: str, seed: int = 0
     ) -> DataFrame:
         n_day = self.df.count() / self.days
         k = max(1, int(round(rate * n_day)))
-        s = priority_sample(self.df, k, measure=measure, seed=seed).coalesce(4).cache()
+        return self._cache(name, priority_sample(self.df, k, measure=measure, seed=seed))
+
+    def _cache(self, name: str, sample: DataFrame) -> DataFrame:
+        """Cache a drawn sample under ``name`` and materialize it now: the
+        paper's sampling phase is offline, so no task pays for the draw."""
+        s = sample.coalesce(4).cache()
         s.count()
         self._samples[name] = s
         return s

@@ -11,6 +11,7 @@ because per-day sample sizes are smaller.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,15 +20,14 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.estimators import exact_series
 from repro.synth_data import ads_data, random_constraint
 
+# Where experiment tables are written; EXPERIMENTS.md quotes these files.
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "results")
+
 
 @dataclass
 class ExpConfig:
-    """One knob-set for the experiment harnesses.
-
-    ``bench()`` is sized to finish in minutes inside pytest-benchmark;
-    ``paper()`` mirrors the paper's workload shape more closely for the
-    spark-submit jobs.
-    """
+    """One knob-set for the experiment harnesses. The defaults are the
+    benchmark scale: SF=0.1, sized to finish in minutes."""
 
     sf: float = 0.1
     days: int = 165
@@ -40,19 +40,6 @@ class ExpConfig:
     arima_kwargs: dict = field(
         default_factory=lambda: {"max_p": 2, "max_q": 2, "max_d": 1}
     )
-
-    @classmethod
-    def bench(cls) -> "ExpConfig":
-        return cls(sf=0.1, days=165, train_days=150, n_tasks=3)
-
-    @classmethod
-    def tiny(cls) -> "ExpConfig":
-        """For integration tests: small data, fast models."""
-        return cls(
-            sf=0.01, days=40, train_days=30, n_tasks=2,
-            rates=(0.02, 0.10), selectivities=(0.05,),
-            arima_kwargs={"max_p": 1, "max_q": 1, "max_d": 1},
-        )
 
 
 def load_ads(spark: SparkSession, cfg: ExpConfig) -> DataFrame:
@@ -103,3 +90,14 @@ def fmt_table(pdf, *, floatfmt: str = "{:.3f}") -> str:
             )
         lines.append("  ".join(cells))
     return "\n".join(lines)
+
+
+def save_result(name: str, pdf, *, floatfmt: str = "{:.3f}") -> str:
+    """Print a harness table and write it to ``RESULTS_DIR/<name>.txt``."""
+    text = fmt_table(pdf, floatfmt=floatfmt)
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    with open(path, "w") as f:
+        f.write(text + "\n")
+    print(f"\n===== {name} =====\n{text}\n")
+    return path

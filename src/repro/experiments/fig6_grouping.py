@@ -16,8 +16,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.estimators import estimated_series, exact_series, relative_agg_error
-from repro.core.gsw import arithmetic_weight, delta_for_rate, gsw_sample
 from repro.core.grouping import normalized_l1
+from repro.core.pipeline import FlashP
 from repro.experiments.common import ExpConfig
 from repro.synth_data import ADS_MEASURES, random_constraint
 
@@ -46,13 +46,12 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFra
         m: [exact_series(df, w, m, cfg.days) for w in wheres] for m in ADS_MEASURES
     }
 
+    fp = FlashP(df, days=cfg.days)
     rows = []
     for g_idx, (g1, g2) in enumerate(two_groupings()):
         for group in (g1, g2):
-            w_col = arithmetic_weight(group)
-            delta = delta_for_rate(df, w_col, rate)
-            sample = gsw_sample(df, w_col, delta, measures=group, seed=61).cache()
-            sample.count()
+            name = "+".join(group)
+            sample = fp.add_gsw_sample(name, rate=rate, weights=group, seed=61)
             w_vec = np.mean([vectors[m] for m in group], axis=0)
             for m in group:
                 l1 = normalized_l1(vectors[m], w_vec)
@@ -66,7 +65,7 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFra
                 rows.append(
                     {
                         "grouping": g_idx + 1,
-                        "group": "+".join(group),
+                        "group": name,
                         "measure": m,
                         "l1_distance": l1,
                         "agg_err": float(np.mean(errs)),

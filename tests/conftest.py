@@ -6,7 +6,7 @@ Spark tests share one generation + one cache fill.
 """
 import pytest
 
-from repro.synth_data import ads_data, ads_pandas
+from repro.synth_data import ads_pandas
 
 DAYS = 30          # test dataset: 30 days ...
 SF = 0.01          # ... at 1.5k rows/day = 45k rows total

@@ -57,6 +57,11 @@ class TestExactSeries:
         got = exact_series(ads_df, "gender IN (0) AND gender IN (1)", "impression", DAYS)
         assert got.shape == (DAYS,) and np.all(got == 0)
 
+    def test_rejects_days_outside_range(self, ads_df):
+        # The relation has DAYS days; a shorter series must not drop the rest.
+        with pytest.raises(ValueError, match="outside"):
+            exact_series(ads_df, None, "impression", DAYS - 1)
+
     def test_each_measure(self, ads_df, ads_pdf):
         for m in ("favorite", "click", "cart"):
             got = exact_series(ads_df, None, m, DAYS)

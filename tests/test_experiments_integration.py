@@ -2,12 +2,14 @@
 scale and produces structurally correct, sane output. (Shape assertions
 on the paper's orderings live in benchmarks/, where the scale is large
 enough for them to be stable.)"""
+import pkgutil
+
 import numpy as np
 import pytest
 
 from repro.experiments.common import ExpConfig, fmt_table, tasks_for
 from repro.synth_data import ADS_MEASURES
-from tests.conftest import DAYS
+from tests.conftest import DAYS, SF
 
 
 @pytest.fixture(scope="module")
@@ -104,5 +106,26 @@ class TestCommonHelpers:
         assert "1.235" in s and "x" in s
 
     def test_config_presets(self):
-        assert ExpConfig.bench().sf == 0.1
-        assert ExpConfig.tiny().sf == 0.01
+        # The defaults are the benchmark scale the benchmarks/ harnesses use.
+        assert ExpConfig().sf == 0.1
+
+
+class TestEntryPoint:
+    def test_registry_covers_every_harness(self):
+        import repro.experiments as pkg
+        from repro.experiments.__main__ import EXPERIMENTS
+
+        harnesses = {m.name for m in pkgutil.iter_modules(pkg.__path__)} - {"common", "__main__"}
+        assert set(EXPERIMENTS) == harnesses
+
+    def test_main_writes_table(self, spark, monkeypatch, tmp_path):
+        from repro.experiments import common
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+        path = main(["exp5_space", "--sf", str(SF), "--days", str(DAYS),
+                     "--train-days", str(DAYS - 8), "--n-tasks", "1"])
+        assert path == str(tmp_path / "exp5_space.txt")
+        lines = (tmp_path / "exp5_space.txt").read_text().splitlines()
+        assert "size_ratio" in lines[0]
+        assert len(lines) == 1 + len(ExpConfig().rates)

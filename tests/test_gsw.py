@@ -1,5 +1,6 @@
 """Tests for the GSW sampler as a Spark DataFrame transform."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -32,6 +33,30 @@ class TestWeightExpressions:
         got = ads_df.select(geometric_weight(list(ADS_MEASURES)).alias("w")).toPandas()["w"]
         want = np.exp(np.log(ads_pdf[list(ADS_MEASURES)].astype(float)).mean(axis=1))
         assert np.allclose(np.sort(got), np.sort(want), rtol=1e-9)
+
+
+class TestZeroMeasures:
+    def test_geometric_gsw_unbiased_with_zero_measures(self, spark):
+        """A zero in one measure must not drop the row's other measures:
+        G-GSW over (a, b) with 30% zeros in b stays unbiased for SUM(a)."""
+        g = np.random.default_rng(0)
+        n = 20_000
+        a = np.floor(g.lognormal(3.0, 1.0, n)) + 1
+        b = np.where(g.random(n) < 0.3, 0.0, np.floor(g.lognormal(3.0, 1.0, n)) + 1)
+        df = spark.createDataFrame(pd.DataFrame({"a": a, "b": b})).cache()
+        w = geometric_weight(["a", "b"])
+        assert df.where(w.isNull() | (w <= 0)).count() == 0
+        delta = delta_for_rate(df, w, 0.05)
+        ests = [
+            gsw_sample(df, w, delta, measures=["a"], seed=seed)
+            .agg(F.sum(est_col("a"))).first()[0]
+            for seed in range(20)
+        ]
+        df.unpersist()
+        w_np = np.where(b > 0, np.sqrt(a * b), a)  # geometric_weight in numpy
+        rstd = bounds.rstd_exact(a, w_np, delta)
+        rel = abs(np.mean(ests) - a.sum()) / a.sum()
+        assert rel < 4 * rstd / np.sqrt(len(ests))
 
 
 class TestGswSample:
@@ -137,6 +162,11 @@ class TestSolveDelta:
         delta = delta_for_rate(ads_df, w, 1.0)
         s = gsw_sample(ads_df, w, delta, measures=["impression"], seed=0)
         assert s.count() >= 0.99 * ads_df.count()
+
+    def test_raises_when_not_converged(self, ads_df):
+        with pytest.raises(RuntimeError, match="solve_delta"):
+            solve_delta(ads_df, optimal_weight("impression"), 0.03 * ads_df.count(),
+                        max_iter=1, rtol=1e-12)
 
     def test_rejects_nonpositive_target(self, ads_df):
         with pytest.raises(ValueError):
