@@ -10,7 +10,7 @@ variance-reduction heuristic and (p,q) by grid-search on AIC.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class ARIMAResult:
     x: np.ndarray          # original (undifferenced) series
     mu: float              # mean of the differenced series (standardization)
     sd: float              # std of the differenced series
+    # auto_arima: one "ARIMA(p,d,q): <error>" line per candidate that failed
+    failures: list[str] = field(default_factory=list)
 
     @property
     def order(self) -> tuple[int, int, int]:
@@ -113,21 +115,25 @@ def auto_arima(
     """Grid-search (p,q) by AIC at the heuristically chosen d.
 
     Stand-in for pmdarima's stepwise search: same model family, same
-    selection criterion, exhaustive instead of stepwise.
+    selection criterion, exhaustive instead of stepwise. Candidates that
+    cannot be fitted are listed in the result's ``failures``.
     """
     x = np.asarray(x, dtype="float64")
     d = select_d(x, max_d=max_d)
     best: ARIMAResult | None = None
+    failures: list[str] = []
     for p in range(max_p + 1):
         for q in range(max_q + 1):
             if p == 0 and q == 0 and d == 0:
                 continue  # pure-constant model never forecasts trends
             try:
                 fit = fit_arima(x, p, d, q, max_iter=max_iter)
-            except (ValueError, np.linalg.LinAlgError):
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                failures.append(f"ARIMA({p},{d},{q}): {exc}")
                 continue
             if best is None or fit.aic < best.aic:
                 best = fit
     if best is None:
-        raise ValueError("auto_arima: no candidate model could be fitted")
+        raise ValueError("auto_arima: no candidate model could be fitted: " + "; ".join(failures))
+    best.failures = failures
     return best

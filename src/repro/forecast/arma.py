@@ -36,13 +36,57 @@ def css_residuals(x: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np
         arpart[p:] -= ar[i] * x[p - 1 - i : n - 1 - i]
     if q == 0:
         return arpart[p:]
-    e = np.zeros(n)
-    for t in range(p, n):
-        acc = arpart[t]
-        for j in range(min(q, t)):
-            acc -= ma[j] * e[t - 1 - j]
-        e[t] = acc
-    return e[p:]
+    # The MA recursion runs on Python floats: the same IEEE operations, in
+    # the same order, as on numpy scalars, at a fraction of the cost. The
+    # pre-sample e's are zeros, so their terms change no residual (at most
+    # the sign of a zero). The q = 1, 2 recurrences (every order of the
+    # benchmark grid) are unrolled.
+    a = arpart[p:].tolist()
+    if q == 1:
+        (b1,) = ma.tolist()
+        e1, e = 0.0, []
+        for at in a:
+            e1 = at - b1 * e1
+            e.append(e1)
+        return np.array(e)
+    if q == 2:
+        b1, b2 = ma.tolist()
+        e1 = e2 = 0.0
+        e = []
+        for at in a:
+            e1, e2 = (at - b1 * e1) - b2 * e2, e1
+            e.append(e1)
+        return np.array(e)
+    b = ma.tolist()
+    e = [0.0] * q
+    for at in a:
+        for j in range(q):
+            at -= b[j] * e[-1 - j]
+        e.append(at)
+    return np.array(e[q:])
+
+
+# Radius inside which a root is penalized, and the slightly larger radius
+# of the Schur–Cohn pre-test, whose margin absorbs rounding in the test and
+# in np.roots, so a pass guarantees np.roots finds no root inside _ROOT_R.
+_ROOT_R = 1.05
+_SCHUR_R = _ROOT_R * (1 + 1e-6)
+
+
+def _roots_outside(poly: np.ndarray, r: float) -> bool:
+    """Schur–Cohn test: do all roots of ``poly`` (low degree first) lie outside radius ``r``?
+
+    Levinson step-down on ``poly(r·z)``: its roots are outside the unit
+    circle iff every reflection coefficient lies in (−1, 1). NaN or inf
+    coefficients fail the test.
+    """
+    a = (poly * r ** np.arange(len(poly))).tolist()
+    for k in range(len(a) - 1, 0, -1):
+        kappa = a[k] / a[0]
+        if not -1.0 < kappa < 1.0:
+            return False
+        a = [a[i] - kappa * a[k - i] for i in range(k)]
+    return True
 
 
 def _root_penalty(coefs: np.ndarray, kind: str) -> float:
@@ -56,10 +100,12 @@ def _root_penalty(coefs: np.ndarray, kind: str) -> float:
         return 0.0
     sign = -1.0 if kind == "ar" else 1.0
     poly = np.concatenate(([1.0], sign * coefs))
+    if _roots_outside(poly, _SCHUR_R):
+        return 0.0  # exactly what the np.roots path below returns
     roots = np.roots(poly[::-1])  # numpy wants highest degree first
     if len(roots) == 0:
         return 0.0
-    viol = np.clip(1.05 - np.abs(roots), 0.0, None)
+    viol = np.clip(_ROOT_R - np.abs(roots), 0.0, None)
     return float(1e4 * np.sum(viol**2))
 
 
@@ -76,6 +122,8 @@ class ARMAResult:
     aic: float
     resid: np.ndarray
     x: np.ndarray = field(repr=False)
+    nit: int             # Nelder–Mead iterations of the fit
+    converged: bool      # whether Nelder–Mead met its tolerances
 
     def psi_weights(self, h: int) -> np.ndarray:
         """MA(∞) weights ψ_0..ψ_{h-1} of the fitted process."""
@@ -126,6 +174,7 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
         raise ValueError(f"series too short ({n}) for ARMA({p},{q})")
 
     mean = float(x.mean())
+    pen_scale = max(1.0, np.var(x))
 
     def unpack(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         return float(theta[0]), theta[1 : 1 + p], theta[1 + p : 1 + p + q]
@@ -134,7 +183,7 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
         c, ar, ma = unpack(theta)
         pen = _root_penalty(ar, "ar") + _root_penalty(ma, "ma")
         e = css_residuals(x, c, ar, ma)
-        return float(np.sum(e * e)) + pen * max(1.0, np.var(x))
+        return float(np.sum(e * e)) + pen * pen_scale
 
     # Start from white noise around the mean; seed AR1 with lag-1 autocorr.
     theta0 = np.zeros(1 + p + q)
@@ -154,4 +203,6 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
     sigma2 = float(np.sum(e * e)) / max(1, neff)
     k = 1 + p + q
     aic = neff * np.log(max(sigma2, 1e-300)) + 2 * (k + 1)
-    return ARMAResult(p, q, c, ar.copy(), ma.copy(), sigma2, float(aic), e, x)
+    return ARMAResult(
+        p, q, c, ar.copy(), ma.copy(), sigma2, float(aic), e, x, res.nit, res.converged
+    )

@@ -107,6 +107,16 @@ class TestAutoArima:
         p, d, q = fit.order
         assert p <= 1 and q <= 1 and d <= 1
 
+    def test_reports_failed_candidates(self):
+        # Six points at d = 0: every candidate with p + q >= 4 is too long to fit.
+        fit = auto_arima(np.array([3.0, 5.0, 4.0, 6.0, 5.0, 7.0]))
+        assert len(fit.failures) == 6
+        assert all("series too short" in msg for msg in fit.failures)
+        assert fit.order == (2, 0, 0)
+
+    def test_no_failures_reported_on_long_series(self):
+        assert auto_arima(trend_season(100, seed=12), max_p=1, max_q=1).failures == []
+
     def test_aic_optimality_within_grid(self):
         x = trend_season(120, seed=11)
         best = auto_arima(x, max_p=2, max_q=2)

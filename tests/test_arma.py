@@ -2,7 +2,47 @@
 import numpy as np
 import pytest
 
-from repro.forecast.arma import ARMAResult, css_residuals, fit_arma
+from repro.forecast import arma
+from repro.forecast.arima import auto_arima
+from repro.forecast.arma import ARMAResult, _root_penalty, css_residuals, fit_arma
+
+
+def _css_reference(x, c, ar, ma):
+    """The plain numpy-scalar CSS recursion the fast kernel must reproduce bit for bit."""
+    p, q = len(ar), len(ma)
+    n = len(x)
+    arpart = x.copy() - c
+    for i in range(p):
+        arpart[p:] -= ar[i] * x[p - 1 - i : n - 1 - i]
+    if q == 0:
+        return arpart[p:]
+    e = np.zeros(n)
+    for t in range(p, n):
+        acc = arpart[t]
+        for j in range(min(q, t)):
+            acc -= ma[j] * e[t - 1 - j]
+        e[t] = acc
+    return e[p:]
+
+
+def _root_penalty_reference(coefs, kind):
+    """The penalty computed from np.roots alone, with no Schur–Cohn early exit."""
+    if len(coefs) == 0:
+        return 0.0
+    sign = -1.0 if kind == "ar" else 1.0
+    poly = np.concatenate(([1.0], sign * coefs))
+    roots = np.roots(poly[::-1])
+    if len(roots) == 0:
+        return 0.0
+    viol = np.clip(1.05 - np.abs(roots), 0.0, None)
+    return float(1e4 * np.sum(viol**2))
+
+
+def _coefs_with_roots(roots, kind):
+    """AR (or MA) coefficients whose characteristic polynomial has ``roots``."""
+    poly = np.real(np.poly(roots))[::-1]  # low degree first
+    poly = poly / poly[0]
+    return -poly[1:] if kind == "ar" else poly[1:]
 
 
 def simulate_arma(ar, ma, n, *, sigma=1.0, const=0.0, seed=0):
@@ -55,6 +95,110 @@ class TestCssResiduals:
         x = np.arange(10.0)
         assert len(css_residuals(x, 0.0, np.array([0.1, 0.1]), np.array([]))) == 8
 
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(5))
+    def test_bit_identical_to_reference(self, p, q):
+        for seed in range(4):
+            g = np.random.default_rng(seed)
+            x = g.normal(0.0, 1.0, 150)
+            c = g.normal()
+            ar = g.uniform(-0.9, 0.9, p)
+            # seeds 2, 3: MA coefficients near ±1, where the recursion barely decays
+            ma = g.uniform(-0.9, 0.9, q) if seed < 2 else g.choice([-1, 1], q) * g.uniform(0.98, 1.0, q)
+            got = css_residuals(x, c, ar, ma)
+            assert np.array_equal(got, _css_reference(x, c, ar, ma))
+
+
+class TestRootPenalty:
+    """The Schur–Cohn early exit must give exactly the np.roots penalty."""
+
+    @pytest.mark.parametrize("kind", ["ar", "ma"])
+    def test_random_coefficients(self, kind):
+        g = np.random.default_rng(0)
+        for _ in range(2000):
+            coefs = g.uniform(-2.0, 2.0, g.integers(1, 4))
+            assert _root_penalty(coefs, kind) == _root_penalty_reference(coefs, kind)
+
+    @pytest.mark.parametrize("kind", ["ar", "ma"])
+    def test_roots_near_penalty_radius(self, kind):
+        # Moduli 1.05·(1 ± u), u log-uniform in [1e-9, 1e-2]: both sides of the radius.
+        g = np.random.default_rng(1)
+        for _ in range(2000):
+            k = int(g.integers(1, 4))
+            mod = 1.05 * (1 + g.choice([-1, 1], k) * 10 ** g.uniform(-9, -2, k))
+            roots = list(mod[:1] * g.choice([-1, 1]))
+            if k >= 2 and g.random() < 0.5:  # a complex pair
+                ang = g.uniform(0.0, np.pi)
+                roots = [mod[0] * np.exp(1j * ang), mod[0] * np.exp(-1j * ang)]
+            roots += list(mod[len(roots):] * g.choice([-1, 1], k - len(roots)))
+            coefs = _coefs_with_roots(roots, kind)
+            assert _root_penalty(coefs, kind) == _root_penalty_reference(coefs, kind)
+
+    @pytest.mark.parametrize("kind", ["ar", "ma"])
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [1.05 * (1 + 1e-4)],
+            [-1.05 * (1 + 1e-4)],
+            [1.05 * (1 - 1e-4)],
+            [1.05 * (1 + 1e-4), 3.0],
+            [1.05 * (1 - 1e-4), -2.0, 4.0],
+            [1.05, 1.05],
+            [-1.05, -1.05, 2.5],
+            [1.05 * np.exp(0.7j), 1.05 * np.exp(-0.7j)],
+            [1.05 * np.exp(2.5j), 1.05 * np.exp(-2.5j), 1.5],
+        ],
+    )
+    def test_constructed_edge_cases(self, kind, roots):
+        coefs = _coefs_with_roots(roots, kind)
+        assert _root_penalty(coefs, kind) == _root_penalty_reference(coefs, kind)
+
+    def test_outside_is_zero_inside_is_positive(self):
+        assert _root_penalty(np.array([1 / 1.2]), "ar") == 0.0
+        assert _root_penalty(np.array([1 / 0.9]), "ar") > 0.0
+
+
+class TestAutoArimaMatchesReference:
+    """auto_arima with the fast kernels equals auto_arima with the references."""
+
+    @staticmethod
+    def _series():
+        g = np.random.default_rng(3)
+        t = np.arange(120)
+        trend = 1000 + 5 * t + 100 * np.sin(2 * np.pi * t / 7) + g.normal(0, 20, 120)
+        walk = np.cumsum(g.normal(0, 1, 120))
+        ar2 = simulate_arma([0.5, -0.3], [], 120, seed=4)
+        return [trend, walk, ar2]
+
+    @staticmethod
+    def _run(monkeypatch, x, grid, css, penalty):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return css(*args)
+
+        monkeypatch.setattr(arma, "css_residuals", counted)
+        monkeypatch.setattr(arma, "_root_penalty", penalty)
+        fit = auto_arima(x, **grid)
+        return fit, fit.forecast(7), calls[0]
+
+    @pytest.mark.parametrize(
+        "grid", [{"max_p": 2, "max_q": 2, "max_d": 1}, {}], ids=["bench", "default"]
+    )
+    def test_same_fits(self, monkeypatch, grid):
+        for x in self._series():
+            fast, fast_fc, fast_calls = self._run(
+                monkeypatch, x, grid, css_residuals, _root_penalty
+            )
+            ref, ref_fc, ref_calls = self._run(
+                monkeypatch, x, grid, _css_reference, _root_penalty_reference
+            )
+            assert fast.order == ref.order and fast.aic == ref.aic
+            assert all(np.array_equal(a, b) for a, b in zip(fast_fc, ref_fc))
+            assert fast.arma.nit == ref.arma.nit
+            assert fast_calls == ref_calls
+
 
 class TestFitRecovery:
     def test_recovers_ar1(self):
@@ -94,6 +238,12 @@ class TestFitRecovery:
         with pytest.raises(ValueError):
             fit_arma(np.array([1.0, 2.0]), 2, 1)
 
+    def test_reports_optimizer_outcome(self):
+        x = simulate_arma([0.7], [], 300, seed=2)
+        assert fit_arma(x, 1, 0).converged
+        short = fit_arma(x, 1, 1, max_iter=3)
+        assert short.nit == 3 and not short.converged
+
     def test_stationarity_penalty_keeps_roots_outside(self):
         # A near-random-walk series: the fitted AR root must stay ≥ ~1.
         g = np.random.default_rng(8)
@@ -108,7 +258,7 @@ class TestPsiWeights:
         return ARMAResult(
             p=len(ar), q=len(ma), const=0.0, ar=np.asarray(ar, float),
             ma=np.asarray(ma, float), sigma2=1.0, aic=0.0,
-            resid=np.zeros(10), x=np.zeros(10),
+            resid=np.zeros(10), x=np.zeros(10), nit=0, converged=True,
         )
 
     def test_ar1_psi_geometric(self):
