@@ -15,27 +15,35 @@ Weight choices (Sections 4.1.2 and 4.2):
   sample for a group of measures (Corollary 6).
 * ``geometric_weight(ms)``  — ``w_i = (Π_j m_i^(j))^(1/k)`` (Corollary 5).
 
-``solve_delta`` finds the Δ that yields a target expected sample size via
-distributed Newton iterations on ``E|S_Δ| = Σ_i w_i/(Δ+w_i)``.
+``solve_delta`` finds the Δ that yields a target expected sample size by
+Newton iterations on ``E|S_Δ| = Σ_i w_i/(Δ+w_i)``, run on the driver over
+the table's exact weight histogram, which ``delta_for_rate`` collects in
+one ``groupBy(w).count()`` pass.
 """
 from __future__ import annotations
 
+import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.sampling.base import est_col
 
 
+def _measure(m: str) -> Column:
+    """A measure as a double, with null read as 0 (see ``geometric_weight``)."""
+    return F.coalesce(F.col(m).cast("double"), F.lit(0.0))
+
+
 def optimal_weight(measure: str) -> Column:
     """w = m — the optimal GSW sampler for a single measure (Cor. 4)."""
-    return F.col(measure).cast("double")
+    return _measure(measure)
 
 
 def arithmetic_weight(measures: list[str]) -> Column:
     """w_i = arithmetic mean of the group's measures (Cor. 6)."""
     s = F.lit(0.0)
     for m in measures:
-        s = s + F.col(m).cast("double")
+        s = s + _measure(m)
     return s / F.lit(float(len(measures)))
 
 
@@ -47,11 +55,12 @@ def geometric_weight(measures: list[str]) -> Column:
     measure is 0, so such a row could never be sampled and its nonzero
     group-mate measures would drop out of every estimate. Any ``w > 0``
     keeps the HT estimate unbiased; a row whose measures are all 0 gets
-    ``w = 0`` and contributes nothing either way.
+    ``w = 0`` and contributes nothing either way. A null measure counts as
+    0 here and in the other weights, for the same reason.
     """
     logs, k = F.lit(0.0), F.lit(0.0)
     for m in measures:
-        v = F.col(m).cast("double")
+        v = _measure(m)
         logs = logs + F.when(v > 0, F.log(v)).otherwise(0.0)
         k = k + (v > 0).cast("double")
     return F.when(k > 0, F.exp(logs / k)).otherwise(0.0)
@@ -81,7 +90,7 @@ def gsw_sample(
     for m in measures:
         out = out.withColumn(est_col(m), F.col(m).cast("double") * factor)
     # `_p` is kept on sampled rows: Section 4.1's incremental maintenance
-    # (see `increase_delta`) filters on (1/p - 1)·w without rescanning T.
+    # (see `increase_delta`) filters on it again without rescanning T.
     return out
 
 
@@ -90,31 +99,22 @@ def increase_delta(
 ) -> DataFrame:
     """Shrink an existing GSW sample from Δ to Δ′ > Δ (Section 4.1).
 
-    A row drawn at Δ survives at Δ′ iff ``(1/p_i - 1)·w_i ≥ Δ′``
-    (equivalently ``p_i ≤ w_i/(Δ′+w_i)``), so the update never touches
-    rows outside the current sample — the paper's incremental
+    A row drawn at Δ survives at Δ′ iff ``p_i ≤ w_i/(Δ′+w_i)``, the test
+    ``gsw_sample`` draws with (the paper writes it ``(1/p_i - 1)·w_i ≥ Δ′``,
+    which divides by zero under ANSI mode when ``p_i = 0``), so the update
+    never touches rows outside the current sample — the paper's incremental
     maintenance. Calibrated measures are recomputed for the new Δ′.
     """
-    cond = (F.lit(1.0) / F.col("_p") - F.lit(1.0)) * F.col("_w") >= F.lit(float(new_delta))
-    out = sample.where(cond)
+    out = sample.where(F.col("_p") <= F.col("_w") / (F.lit(float(new_delta)) + F.col("_w")))
     factor = (F.lit(float(new_delta)) + F.col("_w")) / F.col("_w")
     for m in measures:
         out = out.withColumn(est_col(m), F.col(m).cast("double") * factor)
     return out
 
 
-def expected_sample_size(df: DataFrame, weight: Column, delta: float) -> float:
-    """E|S_Δ| = Σ_i w_i/(Δ+w_i) — one distributed aggregate."""
-    w = weight
-    row = df.select(
-        F.sum(w / (F.lit(float(delta)) + w)).alias("es")
-    ).first()
-    return float(row["es"] or 0.0)
-
-
 def solve_delta(
-    df: DataFrame,
-    weight: Column,
+    weights: np.ndarray,
+    counts: np.ndarray,
     target_size: float,
     *,
     max_iter: int = 25,
@@ -122,30 +122,31 @@ def solve_delta(
 ) -> float:
     """Find Δ with ``E|S_Δ| ≈ target_size`` by safeguarded Newton.
 
-    ``f(Δ) = Σ w/(Δ+w)`` is strictly decreasing and convex in Δ, with
-    ``f(0) = n`` and ``f(Δ) ≈ W/Δ`` for large Δ. Each iteration is a
-    single Spark aggregate computing ``f`` and ``f'``. The initial guess
-    ``Δ₀ = W/target`` satisfies ``f(Δ₀) ≤ target``; Newton then converges
-    monotonically from that side; a bisection bracket guards against
-    overshoot into Δ ≤ 0. Raises ``RuntimeError`` if ``f`` is not within
-    ``rtol`` of the target after ``max_iter`` iterations.
+    The population is given as a weight histogram: ``counts[j]`` rows have
+    weight ``weights[j]``. ``f(Δ) = Σ_j c_j·w_j/(Δ+w_j)`` is strictly
+    decreasing and convex in Δ, with ``f(0) = n`` and ``f(Δ) ≈ W/Δ`` for
+    large Δ; each iteration evaluates ``f`` and ``f'`` over the histogram
+    in numpy. The initial guess ``Δ₀ = W/target`` satisfies
+    ``f(Δ₀) ≤ target``; a bisection bracket guards against overshoot into
+    Δ ≤ 0. Raises ``ValueError`` on a NaN or negative weight and
+    ``RuntimeError`` if ``f`` is not within ``rtol`` of the target after
+    ``max_iter`` iterations.
     """
     if target_size <= 0:
         raise ValueError("target_size must be positive")
-    w = weight
-    stats = df.select(F.sum(w).alias("W"), F.count(F.lit(1)).alias("n")).first()
-    W, n = float(stats["W"]), int(stats["n"])
+    w = np.asarray(weights, dtype="float64")
+    c = np.asarray(counts, dtype="float64")
+    if np.isnan(w).any() or (w < 0).any():
+        raise ValueError("weights must be non-negative and not NaN (null)")
+    W, n = float(c @ w), int(c.sum())
     if target_size >= n:  # asking for (at least) everything
         # Any tiny Δ keeps nearly all rows; Δ = W/n² keeps p_i ≈ 1.
         return max(W / (n * n), 1e-12)
     lo, hi = 1e-12, None  # f(lo) ≈ n > target; hi: f(hi) < target once found
     delta = W / target_size
     for _ in range(max_iter):
-        row = df.select(
-            F.sum(w / (F.lit(delta) + w)).alias("f"),
-            F.sum(w / ((F.lit(delta) + w) * (F.lit(delta) + w))).alias("df"),
-        ).first()
-        f, dfd = float(row["f"]), -float(row["df"])
+        f = float(c @ (w / (delta + w)))
+        dfd = -float(c @ (w / ((delta + w) * (delta + w))))
         if abs(f - target_size) <= rtol * target_size:
             return delta
         if f > target_size:
@@ -164,6 +165,18 @@ def solve_delta(
 
 
 def delta_for_rate(df: DataFrame, weight: Column, rate: float, **kw) -> float:
-    """Δ for a target sampling *rate* (fraction of |T|)."""
-    n = df.count()
-    return solve_delta(df, weight, rate * n, **kw)
+    """Δ for a target sampling *rate* (fraction of |T|).
+
+    One Spark pass collects the exact weight histogram
+    (``groupBy(w).count()``); ``solve_delta`` then runs on the driver.
+    """
+    # One map task per core: with the table's many small partitions, each
+    # would write a shuffle block per reduce partition (several times slower).
+    hist = (
+        df.select(weight.alias("w"))
+        .coalesce(df.sparkSession.sparkContext.defaultParallelism)
+        .groupBy("w").count().toPandas()
+        .sort_values("w")  # a fixed summation order, whatever the partitioning
+    )
+    n = hist["count"].sum()
+    return solve_delta(hist["w"].to_numpy(dtype="float64"), hist["count"], rate * n, **kw)

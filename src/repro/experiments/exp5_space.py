@@ -19,24 +19,13 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.estimators import estimated_series, exact_series, relative_agg_error
-from repro.core.gsw import gsw_sample, optimal_weight
+from repro.core.grouping import measure_matrix
+from repro.core.gsw import arithmetic_weight, gsw_sample, optimal_weight, solve_delta
 from repro.experiments.common import ExpConfig
 from repro.synth_data import ADS_MEASURES
 from repro.theory.bounds import expected_sample_size, rstd_exact
 
 PAPER_RATIO = 1.8  # paper: Σ Opt-GSW sizes ≈ 1.8 × C-GSW size
-
-
-def _solve_delta_np(w: np.ndarray, target_size: float) -> float:
-    """Bisection on E|S_Δ| = Σ w/(Δ+w) (numpy twin of core.gsw.solve_delta)."""
-    lo, hi = 1e-9, float(w.sum() / target_size * 1e3)
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if expected_sample_size(w, mid) > target_size:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(lo * hi))
 
 
 def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02) -> pd.DataFrame:
@@ -47,15 +36,14 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
     given, that rate's matching is additionally verified empirically by
     drawing the sized samples in Spark.
     """
-    pdf = df.select(*ADS_MEASURES).toPandas()
-    M = {m: pdf[m].to_numpy(dtype="float64") for m in ADS_MEASURES}
-    n = len(pdf)
+    M = measure_matrix(df, list(ADS_MEASURES))
     w_arith = np.mean([M[m] for m in ADS_MEASURES], axis=0)
+    n = len(w_arith)
 
     rows = []
     for rate in cfg.rates:
         target = rate * n
-        delta_a = _solve_delta_np(w_arith, target)
+        delta_a = solve_delta(*np.unique(w_arith, return_counts=True), target, rtol=1e-12)
         opt_sizes = {}
         opt_deltas = {}
         max_err = 0.0
@@ -84,8 +72,6 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
 
     if verify_rate is not None and verify_rate in cfg.rates:
         # Empirical check: matched sizes give matched aggregation errors.
-        from repro.core.gsw import arithmetic_weight
-
         row = out[out["cgsw_rate"] == verify_rate].iloc[0]
         sa = gsw_sample(
             df, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),

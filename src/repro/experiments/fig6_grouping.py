@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.estimators import estimated_series, exact_series, relative_agg_error
-from repro.core.grouping import normalized_l1
+from repro.core.grouping import measure_matrix, normalized_l1
 from repro.core.pipeline import FlashP
 from repro.experiments.common import ExpConfig
 from repro.synth_data import ADS_MEASURES, random_constraint
@@ -37,8 +37,7 @@ def two_groupings() -> list[tuple[list[str], list[str]]]:
 def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFrame:
     """Per (grouping, measure): L1 distance to the group weight vector and
     mean aggregation error using that group's compressed sample."""
-    pdf = df.select(*ADS_MEASURES).toPandas()
-    vectors = {m: pdf[m].to_numpy(dtype="float64") for m in ADS_MEASURES}
+    vectors = measure_matrix(df, list(ADS_MEASURES))
 
     wheres = [random_constraint(s, seed=600 + i)[0]
               for i, s in enumerate(np.geomspace(0.005, 0.10, cfg.n_tasks))]

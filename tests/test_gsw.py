@@ -7,7 +7,6 @@ from pyspark.sql import functions as F
 from repro.core.gsw import (
     arithmetic_weight,
     delta_for_rate,
-    expected_sample_size,
     geometric_weight,
     gsw_sample,
     increase_delta,
@@ -35,16 +34,31 @@ class TestWeightExpressions:
         assert np.allclose(np.sort(got), np.sort(want), rtol=1e-9)
 
 
+def _hist(w):
+    """The (weights, counts) histogram ``solve_delta`` takes."""
+    return np.unique(np.asarray(w, dtype="float64"), return_counts=True)
+
+
 class TestZeroMeasures:
-    def test_geometric_gsw_unbiased_with_zero_measures(self, spark):
-        """A zero in one measure must not drop the row's other measures:
-        G-GSW over (a, b) with 30% zeros in b stays unbiased for SUM(a)."""
+    @pytest.mark.parametrize("weighting", ["arithmetic", "geometric"])
+    @pytest.mark.parametrize("missing", ["zero", "null"])
+    def test_gsw_unbiased_with_missing_measures(self, spark, missing, weighting):
+        """A zero or null in one measure must not drop the row's other
+        measures: GSW over (a, b) with 30% of b zero or null stays unbiased
+        for SUM(a)."""
         g = np.random.default_rng(0)
         n = 20_000
         a = np.floor(g.lognormal(3.0, 1.0, n)) + 1
         b = np.where(g.random(n) < 0.3, 0.0, np.floor(g.lognormal(3.0, 1.0, n)) + 1)
-        df = spark.createDataFrame(pd.DataFrame({"a": a, "b": b})).cache()
-        w = geometric_weight(["a", "b"])
+        df = spark.createDataFrame(pd.DataFrame({"a": a, "b": b}))
+        if missing == "null":
+            df = df.withColumn("b", F.when(F.col("b") > 0, F.col("b")))
+            assert df.where(F.col("b").isNull()).count() == int((b == 0).sum())
+        df = df.cache()
+        if weighting == "arithmetic":
+            w, w_np = arithmetic_weight(["a", "b"]), (a + b) / 2
+        else:
+            w, w_np = geometric_weight(["a", "b"]), np.where(b > 0, np.sqrt(a * b), a)
         assert df.where(w.isNull() | (w <= 0)).count() == 0
         delta = delta_for_rate(df, w, 0.05)
         ests = [
@@ -53,7 +67,6 @@ class TestZeroMeasures:
             for seed in range(20)
         ]
         df.unpersist()
-        w_np = np.where(b > 0, np.sqrt(a * b), a)  # geometric_weight in numpy
         rstd = bounds.rstd_exact(a, w_np, delta)
         rel = abs(np.mean(ests) - a.sum()) / a.sum()
         assert rel < 4 * rstd / np.sqrt(len(ests))
@@ -75,10 +88,10 @@ class TestGswSample:
         want = pdf["impression"] * (delta + pdf["_w"]) / pdf["_w"]
         assert np.allclose(pdf[est_col("impression")], want)
 
-    def test_sample_size_near_expectation(self, ads_df):
+    def test_sample_size_near_expectation(self, ads_df, ads_pdf):
         delta = 500.0
         w = optimal_weight("impression")
-        es = expected_sample_size(ads_df, w, delta)
+        es = bounds.expected_sample_size(ads_pdf["impression"].to_numpy(float), delta)
         got = gsw_sample(ads_df, w, delta, measures=["impression"], seed=3).count()
         # Binomial concentration: within 5 std devs.
         assert abs(got - es) < 5 * np.sqrt(es) + 5
@@ -138,17 +151,17 @@ class TestGswSample:
 
 
 class TestSolveDelta:
-    def test_hits_target_size(self, ads_df):
-        w = optimal_weight("impression")
-        target = 0.03 * ads_df.count()
-        delta = solve_delta(ads_df, w, target)
-        es = expected_sample_size(ads_df, w, delta)
+    def test_hits_target_size(self, ads_pdf):
+        w = ads_pdf["impression"].to_numpy(float)
+        target = 0.03 * len(w)
+        delta = solve_delta(*_hist(w), target)
+        es = bounds.expected_sample_size(w, delta)
         assert abs(es - target) <= 0.05 * target
 
-    def test_rate_wrapper(self, ads_df):
+    def test_rate_wrapper(self, ads_df, ads_pdf):
         w = arithmetic_weight(list(ADS_MEASURES))
         delta = delta_for_rate(ads_df, w, 0.02)
-        es = expected_sample_size(ads_df, w, delta)
+        es = bounds.expected_sample_size(ads_pdf[list(ADS_MEASURES)].mean(axis=1), delta)
         assert abs(es - 0.02 * ads_df.count()) <= 0.05 * 0.02 * ads_df.count()
 
     def test_larger_rate_smaller_delta(self, ads_df):
@@ -163,14 +176,48 @@ class TestSolveDelta:
         s = gsw_sample(ads_df, w, delta, measures=["impression"], seed=0)
         assert s.count() >= 0.99 * ads_df.count()
 
-    def test_raises_when_not_converged(self, ads_df):
+    def test_raises_when_not_converged(self, ads_pdf):
+        w = ads_pdf["impression"].to_numpy(float)
         with pytest.raises(RuntimeError, match="solve_delta"):
-            solve_delta(ads_df, optimal_weight("impression"), 0.03 * ads_df.count(),
-                        max_iter=1, rtol=1e-12)
+            solve_delta(*_hist(w), 0.03 * len(w), max_iter=1, rtol=1e-12)
 
-    def test_rejects_nonpositive_target(self, ads_df):
+    def test_rejects_nonpositive_target(self, ads_pdf):
         with pytest.raises(ValueError):
-            solve_delta(ads_df, optimal_weight("impression"), 0.0)
+            solve_delta(*_hist(ads_pdf["impression"]), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_weight(self, bad):
+        with pytest.raises(ValueError, match="weights"):
+            solve_delta(np.array([1.0, 2.0, bad]), np.array([5, 5, 1]), 3.0)
+
+    @pytest.mark.parametrize("rate", [0.005, 0.02, 0.10])
+    def test_tight_rtol_hits_target(self, ads_pdf, rate):
+        w = ads_pdf[list(ADS_MEASURES)].mean(axis=1).to_numpy()
+        target = rate * len(w)
+        delta = solve_delta(*_hist(w), target, rtol=1e-12)
+        assert abs(bounds.expected_sample_size(w, delta) - target) <= 1e-9 * target
+
+    @pytest.mark.parametrize("weighting", ["optimal", "arithmetic", "geometric"])
+    def test_rate_wrapper_solves_the_weight_histogram(self, ads_df, ads_pdf, weighting):
+        """``delta_for_rate`` is ``solve_delta`` on the table's weights."""
+        ms = ads_pdf[list(ADS_MEASURES)].to_numpy(float)
+        w, w_np = {
+            "optimal": (optimal_weight("impression"), ads_pdf["impression"].to_numpy(float)),
+            "arithmetic": (arithmetic_weight(list(ADS_MEASURES)), ms.mean(axis=1)),
+            "geometric": (geometric_weight(list(ADS_MEASURES)), np.exp(np.log(ms).mean(axis=1))),
+        }[weighting]
+        got = delta_for_rate(ads_df, w, 0.02)
+        want = solve_delta(*_hist(w_np), 0.02 * len(w_np))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_rate_wrapper_runs_at_most_two_spark_jobs(self, spark, ads_df):
+        sc, group = spark.sparkContext, "test-delta-for-rate"
+        sc.setLocalProperty("spark.jobGroup.id", group)
+        try:
+            delta_for_rate(ads_df, arithmetic_weight(list(ADS_MEASURES)), 0.02)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert 1 <= len(sc.statusTracker().getJobIdsForGroup(group)) <= 2
 
 
 class TestIncreaseDelta:
@@ -198,6 +245,16 @@ class TestIncreaseDelta:
         pdf = s2.select("impression", "_w", est_col("impression")).toPandas()
         want = pdf["impression"] * (500.0 + pdf["_w"]) / pdf["_w"]
         assert np.allclose(pdf[est_col("impression")], want)
+
+    def test_keeps_row_drawn_at_p_zero(self, spark):
+        """``_p = 0`` must not divide by zero (Spark's default ANSI mode
+        raises on it); such a row survives any Δ′."""
+        sample = spark.createDataFrame(
+            pd.DataFrame({"impression": [5.0], "_w": [5.0], "_p": [0.0]})
+        )
+        pdf = increase_delta(sample, 10.0, measures=["impression"]).toPandas()
+        assert len(pdf) == 1
+        assert pdf[est_col("impression")].iloc[0] == pytest.approx(5.0 * 15.0 / 5.0)
 
     def test_noop_when_delta_unchanged(self, ads_df):
         w = optimal_weight("impression")
