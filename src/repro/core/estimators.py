@@ -7,8 +7,9 @@ same Catalyst plan shape: ``Filter(C) → Aggregate(t, SUM(x))`` — one
 scan answers all t₀ aggregation queries, as the paper notes.
 
 Results come back as dense numpy arrays indexed by day (missing days are
-0 — no surviving rows means the subset-sum estimate is 0). A row whose
-day lies outside ``[0, days)`` raises instead of being dropped.
+0 — no surviving rows means the subset-sum estimate is 0; ``FlashP.run``
+reports how many in ``ForecastOutcome.zero_days``). A row whose day lies
+outside ``[0, days)`` raises instead of being dropped.
 """
 from __future__ import annotations
 

@@ -48,6 +48,7 @@ class ForecastOutcome:
     point: np.ndarray            # forecasts for the next FORE_PERIOD days
     lower: np.ndarray
     upper: np.ndarray
+    zero_days: int               # training days whose served value is exactly 0
     timings: dict[str, float] = field(default_factory=dict)
     model_order: tuple | None = None
 
@@ -139,6 +140,10 @@ class FlashP:
         """Process one forecasting task end to end."""
         if isinstance(task, str):
             task = parse_task(task)
+        if task.t_end >= self.days:
+            raise ValueError(
+                f"USING window ({task.t_start}, {task.t_end}) ends at or after days={self.days}"
+            )
         t0 = time.perf_counter()
         series = self._aggregate(task, source)
         t1 = time.perf_counter()
@@ -160,6 +165,7 @@ class FlashP:
             point=point,
             lower=lower,
             upper=upper,
+            zero_days=int(np.count_nonzero(series == 0)),
             model_order=order,
             timings={
                 "aggregate_s": t1 - t0,

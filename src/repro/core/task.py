@@ -118,6 +118,8 @@ def parse_task(text: str) -> ForecastTask:
                 fore_period = int(val)
             else:
                 raise ValueError(f"unknown OPTION key {key!r}")
+    if fore_period < 1:
+        raise ValueError(f"FORE_PERIOD must be at least 1, got {fore_period}")
     ts, te = int(m.group("ts")), int(m.group("te"))
     if te < ts:
         raise ValueError(f"USING window is empty: ({ts}, {te})")

@@ -128,7 +128,7 @@ def auto_arima(
                 continue  # pure-constant model never forecasts trends
             try:
                 fit = fit_arima(x, p, d, q, max_iter=max_iter)
-            except (ValueError, np.linalg.LinAlgError) as exc:
+            except ValueError as exc:
                 failures.append(f"ARIMA({p},{d},{q}): {exc}")
                 continue
             if best is None or fit.aic < best.aic:

@@ -4,9 +4,10 @@ Fitting is by conditional sum of squares (CSS): residuals are computed
 recursively with pre-sample residuals set to 0, and the squared-residual
 sum is minimized over (intercept, α₁..α_p, β₁..β_q) with Nelder–Mead.
 CSS is the classic stand-in for full MLE (statsmodels' default start),
-adequate for t₀ ≈ 150 training points. Stationarity/invertibility are
-enforced with a smooth penalty on polynomial roots inside the unit
-circle.
+adequate for t₀ ≈ 150 training points. Stationarity/invertibility hold
+by construction: the optimizer searches over unconstrained values that
+map, through partial autocorrelations (Jones 1980; Monahan 1984), to
+AR/MA polynomials whose roots all lie outside radius 1.05.
 
 Forecast intervals come from the MA(∞) ψ-weights:
 ``Var[M_{T+h} - M̂_{T+h|T}] = σ² Σ_{j<h} ψ_j²`` and a normal quantile —
@@ -14,6 +15,7 @@ exactly the textbook construction the paper relies on in Section 3.1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,47 +68,25 @@ def css_residuals(x: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np
     return np.array(e[q:])
 
 
-# Radius inside which a root is penalized, and the slightly larger radius
-# of the Schur–Cohn pre-test, whose margin absorbs rounding in the test and
-# in np.roots, so a pass guarantees np.roots finds no root inside _ROOT_R.
+# Every AR/MA root lies outside this radius. Partial autocorrelations are
+# kept a little inside ±1: at ±1 the polynomial has multiple roots on the
+# radius, which rounding of its coefficients can move inside it.
 _ROOT_R = 1.05
-_SCHUR_R = _ROOT_R * (1 + 1e-6)
+_PACF_MAX = 1.0 - 1e-5
 
 
-def _roots_outside(poly: np.ndarray, r: float) -> bool:
-    """Schur–Cohn test: do all roots of ``poly`` (low degree first) lie outside radius ``r``?
+def _constrain(u: np.ndarray) -> np.ndarray:
+    """Coefficients c whose polynomial ``1 - Σ c_j z^j`` has every root outside ``_ROOT_R``.
 
-    Levinson step-down on ``poly(r·z)``: its roots are outside the unit
-    circle iff every reflection coefficient lies in (−1, 1). NaN or inf
-    coefficients fail the test.
+    ``tanh(u)`` are partial autocorrelations in (−1, 1); the Durbin–Levinson
+    step-up turns them into a polynomial with roots outside the unit circle,
+    and dividing ``c_j`` by ``_ROOT_R**j`` scales those roots by ``_ROOT_R``.
     """
-    a = (poly * r ** np.arange(len(poly))).tolist()
-    for k in range(len(a) - 1, 0, -1):
-        kappa = a[k] / a[0]
-        if not -1.0 < kappa < 1.0:
-            return False
-        a = [a[i] - kappa * a[k - i] for i in range(k)]
-    return True
-
-
-def _root_penalty(coefs: np.ndarray, kind: str) -> float:
-    """Smooth penalty pushing AR/MA polynomial roots outside the unit circle.
-
-    For AR coefficients α the characteristic polynomial is
-    ``1 - α₁ z - ... - α_p z^p`` (for MA: ``1 + β₁ z + ...``); roots with
-    |z| ≤ 1 violate stationarity (invertibility).
-    """
-    if len(coefs) == 0:
-        return 0.0
-    sign = -1.0 if kind == "ar" else 1.0
-    poly = np.concatenate(([1.0], sign * coefs))
-    if _roots_outside(poly, _SCHUR_R):
-        return 0.0  # exactly what the np.roots path below returns
-    roots = np.roots(poly[::-1])  # numpy wants highest degree first
-    if len(roots) == 0:
-        return 0.0
-    viol = np.clip(_ROOT_R - np.abs(roots), 0.0, None)
-    return float(1e4 * np.sum(viol**2))
+    c: list[float] = []
+    for v in u.tolist():
+        r = min(max(math.tanh(v), -_PACF_MAX), _PACF_MAX)
+        c = [cj - r * ck for cj, ck in zip(c, reversed(c))] + [r]
+    return np.array([cj / _ROOT_R**j for j, cj in enumerate(c, 1)])
 
 
 @dataclass
@@ -174,16 +154,13 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
         raise ValueError(f"series too short ({n}) for ARMA({p},{q})")
 
     mean = float(x.mean())
-    pen_scale = max(1.0, np.var(x))
 
     def unpack(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        return float(theta[0]), theta[1 : 1 + p], theta[1 + p : 1 + p + q]
+        return float(theta[0]), _constrain(theta[1 : 1 + p]), -_constrain(theta[1 + p :])
 
     def objective(theta: np.ndarray) -> float:
-        c, ar, ma = unpack(theta)
-        pen = _root_penalty(ar, "ar") + _root_penalty(ma, "ma")
-        e = css_residuals(x, c, ar, ma)
-        return float(np.sum(e * e)) + pen * pen_scale
+        e = css_residuals(x, *unpack(theta))
+        return float(np.sum(e * e))
 
     # Start from white noise around the mean; seed AR1 with lag-1 autocorr.
     theta0 = np.zeros(1 + p + q)
@@ -193,8 +170,9 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
         denom = float(np.dot(xc, xc))
         if denom > 0:
             r1 = float(np.dot(xc[1:], xc[:-1])) / denom
-            theta0[1] = np.clip(r1, -0.9, 0.9)
-            theta0[0] = mean * (1.0 - theta0[1])
+            ar1 = float(np.clip(r1, -0.9, 0.9))
+            theta0[0] = mean * (1.0 - ar1)
+            theta0[1] = np.arctanh(ar1 * _ROOT_R)
 
     res: MinimizeResult = nelder_mead(objective, theta0, max_iter=max_iter)
     c, ar, ma = unpack(res.x)
@@ -203,6 +181,4 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
     sigma2 = float(np.sum(e * e)) / max(1, neff)
     k = 1 + p + q
     aic = neff * np.log(max(sigma2, 1e-300)) + 2 * (k + 1)
-    return ARMAResult(
-        p, q, c, ar.copy(), ma.copy(), sigma2, float(aic), e, x, res.nit, res.converged
-    )
+    return ARMAResult(p, q, c, ar, ma, sigma2, float(aic), e, x, res.nit, res.converged)

@@ -1,10 +1,12 @@
 """Tests for the CSS ARMA fitter and its forecast machinery."""
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.forecast import arma
 from repro.forecast.arima import auto_arima
-from repro.forecast.arma import ARMAResult, _root_penalty, css_residuals, fit_arma
+from repro.forecast.arma import ARMAResult, _constrain, css_residuals, fit_arma
 
 
 def _css_reference(x, c, ar, ma):
@@ -25,24 +27,14 @@ def _css_reference(x, c, ar, ma):
     return e[p:]
 
 
-def _root_penalty_reference(coefs, kind):
-    """The penalty computed from np.roots alone, with no Schur–Cohn early exit."""
-    if len(coefs) == 0:
-        return 0.0
-    sign = -1.0 if kind == "ar" else 1.0
-    poly = np.concatenate(([1.0], sign * coefs))
-    roots = np.roots(poly[::-1])
-    if len(roots) == 0:
-        return 0.0
-    viol = np.clip(1.05 - np.abs(roots), 0.0, None)
-    return float(1e4 * np.sum(viol**2))
+def _min_root_modulus(ar, ma):
+    """Smallest |z| over the roots of ``1 - Σ ar_i z^i`` and ``1 + Σ ma_j z^j``."""
+    polys = [np.concatenate(([1.0], -ar)), np.concatenate(([1.0], ma))]
+    return min(np.abs(np.roots(p[::-1])).min() for p in polys if len(p) > 1)
 
 
-def _coefs_with_roots(roots, kind):
-    """AR (or MA) coefficients whose characteristic polynomial has ``roots``."""
-    poly = np.real(np.poly(roots))[::-1]  # low degree first
-    poly = poly / poly[0]
-    return -poly[1:] if kind == "ar" else poly[1:]
+# Every fitted root lies outside 1.05, up to rounding in np.roots.
+_ROOT_BOUND = 1.05 * (1 - 1e-9)
 
 
 def simulate_arma(ar, ma, n, *, sigma=1.0, const=0.0, seed=0):
@@ -109,57 +101,37 @@ class TestCssResiduals:
             assert np.array_equal(got, _css_reference(x, c, ar, ma))
 
 
-class TestRootPenalty:
-    """The Schur–Cohn early exit must give exactly the np.roots penalty."""
+class TestConstrain:
+    """PACF values map to AR (``_constrain``) and MA (``-_constrain``) roots outside 1.05."""
+
+    @staticmethod
+    def _roots_bound(u, kind):
+        c = _constrain(np.asarray(u, dtype="float64"))
+        none = np.empty(0)
+        return _min_root_modulus(c, none) if kind == "ar" else _min_root_modulus(none, -c)
 
     @pytest.mark.parametrize("kind", ["ar", "ma"])
-    def test_random_coefficients(self, kind):
+    def test_random_values_keep_roots_outside(self, kind):
         g = np.random.default_rng(0)
         for _ in range(2000):
-            coefs = g.uniform(-2.0, 2.0, g.integers(1, 4))
-            assert _root_penalty(coefs, kind) == _root_penalty_reference(coefs, kind)
+            u = g.normal(0.0, 4.0, g.integers(1, 5))
+            assert self._roots_bound(u, kind) >= _ROOT_BOUND
 
     @pytest.mark.parametrize("kind", ["ar", "ma"])
-    def test_roots_near_penalty_radius(self, kind):
-        # Moduli 1.05·(1 ± u), u log-uniform in [1e-9, 1e-2]: both sides of the radius.
-        g = np.random.default_rng(1)
-        for _ in range(2000):
-            k = int(g.integers(1, 4))
-            mod = 1.05 * (1 + g.choice([-1, 1], k) * 10 ** g.uniform(-9, -2, k))
-            roots = list(mod[:1] * g.choice([-1, 1]))
-            if k >= 2 and g.random() < 0.5:  # a complex pair
-                ang = g.uniform(0.0, np.pi)
-                roots = [mod[0] * np.exp(1j * ang), mod[0] * np.exp(-1j * ang)]
-            roots += list(mod[len(roots):] * g.choice([-1, 1], k - len(roots)))
-            coefs = _coefs_with_roots(roots, kind)
-            assert _root_penalty(coefs, kind) == _root_penalty_reference(coefs, kind)
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_saturated_values_stay_finite_and_outside(self, kind, k):
+        for signs in itertools.product([-1.0, 1.0], repeat=k):
+            u = 40.0 * np.array(signs)
+            assert np.all(np.isfinite(_constrain(u)))
+            assert self._roots_bound(u, kind) >= _ROOT_BOUND
 
-    @pytest.mark.parametrize("kind", ["ar", "ma"])
-    @pytest.mark.parametrize(
-        "roots",
-        [
-            [1.05 * (1 + 1e-4)],
-            [-1.05 * (1 + 1e-4)],
-            [1.05 * (1 - 1e-4)],
-            [1.05 * (1 + 1e-4), 3.0],
-            [1.05 * (1 - 1e-4), -2.0, 4.0],
-            [1.05, 1.05],
-            [-1.05, -1.05, 2.5],
-            [1.05 * np.exp(0.7j), 1.05 * np.exp(-0.7j)],
-            [1.05 * np.exp(2.5j), 1.05 * np.exp(-2.5j), 1.5],
-        ],
-    )
-    def test_constructed_edge_cases(self, kind, roots):
-        coefs = _coefs_with_roots(roots, kind)
-        assert _root_penalty(coefs, kind) == _root_penalty_reference(coefs, kind)
-
-    def test_outside_is_zero_inside_is_positive(self):
-        assert _root_penalty(np.array([1 / 1.2]), "ar") == 0.0
-        assert _root_penalty(np.array([1 / 0.9]), "ar") > 0.0
+    def test_zero_maps_to_zero(self):
+        for k in range(5):
+            assert np.array_equal(_constrain(np.zeros(k)), np.zeros(k))
 
 
 class TestAutoArimaMatchesReference:
-    """auto_arima with the fast kernels equals auto_arima with the references."""
+    """auto_arima with the fast CSS kernel equals auto_arima with the reference one."""
 
     @staticmethod
     def _series():
@@ -171,7 +143,7 @@ class TestAutoArimaMatchesReference:
         return [trend, walk, ar2]
 
     @staticmethod
-    def _run(monkeypatch, x, grid, css, penalty):
+    def _run(monkeypatch, x, grid, css):
         calls = [0]
 
         def counted(*args):
@@ -179,7 +151,6 @@ class TestAutoArimaMatchesReference:
             return css(*args)
 
         monkeypatch.setattr(arma, "css_residuals", counted)
-        monkeypatch.setattr(arma, "_root_penalty", penalty)
         fit = auto_arima(x, **grid)
         return fit, fit.forecast(7), calls[0]
 
@@ -188,12 +159,8 @@ class TestAutoArimaMatchesReference:
     )
     def test_same_fits(self, monkeypatch, grid):
         for x in self._series():
-            fast, fast_fc, fast_calls = self._run(
-                monkeypatch, x, grid, css_residuals, _root_penalty
-            )
-            ref, ref_fc, ref_calls = self._run(
-                monkeypatch, x, grid, _css_reference, _root_penalty_reference
-            )
+            fast, fast_fc, fast_calls = self._run(monkeypatch, x, grid, css_residuals)
+            ref, ref_fc, ref_calls = self._run(monkeypatch, x, grid, _css_reference)
             assert fast.order == ref.order and fast.aic == ref.aic
             assert all(np.array_equal(a, b) for a, b in zip(fast_fc, ref_fc))
             assert fast.arma.nit == ref.arma.nit
@@ -250,6 +217,23 @@ class TestFitRecovery:
         x = np.cumsum(g.normal(0, 1, 500))
         fit = fit_arma(x, 1, 0)
         assert abs(fit.ar[0]) < 1.01
+
+    @pytest.mark.parametrize(
+        "series, p, q",
+        [
+            ("overdifferenced", 0, 1),
+            ("overdifferenced", 1, 1),
+            ("random_walk", 1, 0),
+            ("random_walk", 2, 0),
+        ],
+    )
+    def test_fitted_roots_outside_radius(self, series, p, q):
+        if series == "overdifferenced":  # white noise differenced: an MA root at 1
+            x = np.diff(np.random.default_rng(0).normal(size=300))
+        else:  # the random walk above: an AR root at 1
+            x = np.cumsum(np.random.default_rng(8).normal(0, 1, 500))
+        fit = fit_arma(x, p, q)
+        assert _min_root_modulus(fit.ar, fit.ma) >= _ROOT_BOUND
 
 
 class TestPsiWeights:

@@ -1,12 +1,13 @@
 """End-to-end tests for the FlashP pipeline (sample → estimate → fit →
 forecast), matching the two online phases of Section 2.2."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.estimators import exact_series
 from repro.core.pipeline import FlashP
 from repro.forecast.metrics import relative_forecast_error
-from repro.synth_data import ADS_MEASURES
+from repro.synth_data import ADS_DIMS, ADS_MEASURES
 from tests.conftest import DAYS
 
 TRAIN_END = DAYS - 8  # train on days 0..21, evaluate forecasts on 22..28
@@ -65,6 +66,7 @@ class TestOutcome:
         assert len(o.series) == TRAIN_END + 1
         assert o.point.shape == o.lower.shape == o.upper.shape == (7,)
         assert np.all(o.lower <= o.point) and np.all(o.point <= o.upper)
+        assert o.zero_days == 0  # a broad constraint matches rows every day
 
     def test_timings_recorded(self, flashp):
         o = flashp.run(TASK, source="opt_imp", arima_kwargs=ARIMA_FAST)
@@ -108,6 +110,43 @@ class TestOutcome:
         )
         o = flashp.run(task, source="full", arima_kwargs=ARIMA_FAST)
         assert len(o.series) == TRAIN_END - 5 + 1
+
+    def test_window_past_last_day_rejected(self, flashp):
+        task = f"FORECAST SUM(click) FROM ads USING (0, {DAYS})"
+        with pytest.raises(ValueError, match=f"days={DAYS}"):
+            flashp.run(task, source="full", arima_kwargs=ARIMA_FAST)
+
+
+class TestZeroDays:
+    """Days served as exactly 0 are counted, on the full table and on a sample."""
+
+    N_DAYS = 12
+    NO_ROWS = {2, 5, 6}   # no row matches gender = 1
+    ZERO_SUM = {8}        # rows match gender = 1, but their clicks are 0
+
+    @pytest.fixture(scope="class")
+    def sparse_fp(self, spark):
+        rows = [
+            {**dict.fromkeys(ADS_DIMS, 0), **dict.fromkeys(ADS_MEASURES, 10 + t), "t": t, "gender": g}
+            for t in range(self.N_DAYS)
+            for g in (0, 1)
+            if not (g == 1 and t in self.NO_ROWS)
+        ]
+        for r in rows:
+            if r["gender"] == 1 and r["t"] in self.ZERO_SUM:
+                r["click"] = 0
+        fp = FlashP(spark.createDataFrame(pd.DataFrame(rows)), days=self.N_DAYS)
+        fp.add_uniform_sample("every_row", rate=1.0)
+        return fp
+
+    @pytest.mark.parametrize("source", ["full", "every_row"])
+    @pytest.mark.parametrize("t_start", [0, 3])
+    def test_counts_zero_days_in_window(self, sparse_fp, source, t_start):
+        task = f"FORECAST SUM(click) FROM ads WHERE gender = 1 USING ({t_start}, {self.N_DAYS - 1})"
+        o = sparse_fp.run(task, source=source, arima_kwargs=ARIMA_FAST)
+        zero = sorted(t for t in self.NO_ROWS | self.ZERO_SUM if t >= t_start)
+        assert o.zero_days == len(zero)
+        assert (np.flatnonzero(o.series == 0) + t_start).tolist() == zero
 
 
 class TestSampleManagement:
