@@ -26,24 +26,19 @@ import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col
-
-
-def _measure(m: str) -> Column:
-    """A measure as a double, with null read as 0 (see ``geometric_weight``)."""
-    return F.coalesce(F.col(m).cast("double"), F.lit(0.0))
+from repro.sampling.base import est_col, measure_col
 
 
 def optimal_weight(measure: str) -> Column:
     """w = m — the optimal GSW sampler for a single measure (Cor. 4)."""
-    return _measure(measure)
+    return measure_col(measure)
 
 
 def arithmetic_weight(measures: list[str]) -> Column:
     """w_i = arithmetic mean of the group's measures (Cor. 6)."""
     s = F.lit(0.0)
     for m in measures:
-        s = s + _measure(m)
+        s = s + measure_col(m)
     return s / F.lit(float(len(measures)))
 
 
@@ -60,7 +55,7 @@ def geometric_weight(measures: list[str]) -> Column:
     """
     logs, k = F.lit(0.0), F.lit(0.0)
     for m in measures:
-        v = _measure(m)
+        v = measure_col(m)
         logs = logs + F.when(v > 0, F.log(v)).otherwise(0.0)
         k = k + (v > 0).cast("double")
     return F.when(k > 0, F.exp(logs / k)).otherwise(0.0)
@@ -77,8 +72,8 @@ def gsw_sample(
     """Draw a GSW sample and attach calibrated measures.
 
     Output = input columns + ``_w`` (the row's sampling weight) + one
-    ``{m}_est`` per requested measure. A row survives iff
-    ``rand(seed) ≤ w/(Δ+w)``.
+    ``{m}_est`` per requested measure (a null measure is read as 0, as in
+    the weights). A row survives iff ``rand(seed) ≤ w/(Δ+w)``.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -88,7 +83,7 @@ def gsw_sample(
     out = out.where(F.col("_p") <= F.col("_w") / (F.lit(float(delta)) + F.col("_w")))
     factor = (F.lit(float(delta)) + F.col("_w")) / F.col("_w")
     for m in measures:
-        out = out.withColumn(est_col(m), F.col(m).cast("double") * factor)
+        out = out.withColumn(est_col(m), measure_col(m) * factor)
     # `_p` is kept on sampled rows: Section 4.1's incremental maintenance
     # (see `increase_delta`) filters on it again without rescanning T.
     return out
@@ -108,7 +103,7 @@ def increase_delta(
     out = sample.where(F.col("_p") <= F.col("_w") / (F.lit(float(new_delta)) + F.col("_w")))
     factor = (F.lit(float(new_delta)) + F.col("_w")) / F.col("_w")
     for m in measures:
-        out = out.withColumn(est_col(m), F.col(m).cast("double") * factor)
+        out = out.withColumn(est_col(m), measure_col(m) * factor)
     return out
 
 

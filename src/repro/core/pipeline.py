@@ -1,12 +1,13 @@
 """FlashP end-to-end pipeline — Section 2.2 / Figure 7.
 
-The offline phase draws multi-layer samples (different Δ's / rates) and
-caches them; the online phase processes a forecasting task in two steps:
+The offline phase draws multi-layer samples (different Δ's / rates) on
+Spark and keeps each in driver memory as a columnar frame (Fig. 2); the
+online phase processes a forecasting task in two steps:
 
 1. *Aggregation*: the Query Rewriter turns the task into per-day SUM
-   queries (eq. 4), answered either on the full relation or on one of
-   the cached samples' calibrated columns (one Catalyst
-   Filter→Aggregate per task).
+   queries (eq. 4), answered either on the full relation (one Catalyst
+   Filter→Aggregate on Spark) or from one of the stored samples'
+   calibrated columns (one ``np.bincount`` per task, no Spark job).
 2. *Forecasting*: the estimated series M̂_{ts..te} trains the requested
    model (auto-ARIMA or LSTM), which predicts FORE_PERIOD future days
    with confidence intervals.
@@ -20,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.baselines.pim import PIM
@@ -34,9 +36,10 @@ from repro.core.gsw import (
 from repro.core.task import ForecastTask, parse_task, rewrite_where
 from repro.forecast.arima import auto_arima
 from repro.forecast.lstm import LSTMForecaster
+from repro.sampling.base import est_col
 from repro.sampling.priority import priority_sample
 from repro.sampling.uniform import uniform_sample
-from repro.synth_data import ADS_MEASURES
+from repro.synth_data import ADS_DIMS, ADS_MEASURES
 
 
 @dataclass
@@ -60,7 +63,7 @@ class FlashP:
         self.df = df
         self.days = days
         self.measures = list(measures or ADS_MEASURES)
-        self._samples: dict[str, DataFrame] = {}
+        self._samples: dict[str, pd.DataFrame] = {}
         self._pim: PIM | None = None
 
     # ------------------------------------------------- offline sampling
@@ -71,8 +74,8 @@ class FlashP:
         rate: float,
         weights: str | list[str],
         seed: int = 0,
-    ) -> DataFrame:
-        """Draw and cache a GSW sample.
+    ) -> pd.DataFrame:
+        """Draw and store a GSW sample.
 
         ``weights``: a measure name → optimal GSW for that measure;
         a list of measures → arithmetic-mean compressed sample;
@@ -90,21 +93,28 @@ class FlashP:
 
     def add_uniform_sample(
         self, name: str, *, rate: float, seed: int = 0
-    ) -> DataFrame:
+    ) -> pd.DataFrame:
         return self._cache(name, uniform_sample(self.df, rate, measures=self.measures, seed=seed))
 
     def add_priority_sample(
         self, name: str, *, rate: float, measure: str, seed: int = 0
-    ) -> DataFrame:
+    ) -> pd.DataFrame:
         n_day = self.df.count() / self.days
         k = max(1, int(round(rate * n_day)))
         return self._cache(name, priority_sample(self.df, k, measure=measure, seed=seed))
 
-    def _cache(self, name: str, sample: DataFrame) -> DataFrame:
-        """Cache a drawn sample under ``name`` and materialize it now: the
-        paper's sampling phase is offline, so no task pays for the draw."""
-        s = sample.coalesce(4).cache()
-        s.count()
+    def _cache(self, name: str, sample: DataFrame) -> pd.DataFrame:
+        """Collect a drawn sample into the store under ``name``, keeping only
+        the served columns: ``t``, the dimension codes and each ``{m}_est``.
+        The paper's sampling phase is offline and its samples are served
+        from memory, so no task pays for the draw or for a Spark job."""
+        served = {"t", *ADS_DIMS, *map(est_col, ADS_MEASURES)}
+        sc = self.df.sparkSession.sparkContext
+        s = (
+            sample.select([c for c in sample.columns if c in served])
+            .coalesce(sc.defaultParallelism)
+            .toPandas()
+        )
         self._samples[name] = s
         return s
 
@@ -114,7 +124,8 @@ class FlashP:
         return self._pim
 
     def sample(self, name: str) -> DataFrame:
-        return self._samples[name]
+        """The stored sample ``name`` as a Spark DataFrame, built on demand."""
+        return self.df.sparkSession.createDataFrame(self._samples[name])
 
     # --------------------------------------------------- online serving
     def _aggregate(

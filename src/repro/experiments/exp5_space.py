@@ -76,20 +76,16 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
         sa = gsw_sample(
             df, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),
             measures=list(ADS_MEASURES), seed=51,
-        ).cache()
-        sa.count()
+        ).toPandas()
         verify = []
         for m in ADS_MEASURES:
             # recompute the matched Δ for this measure
             r_a = rstd_exact(M[m], w_arith, float(row["cgsw_delta"]))
             delta_m = r_a**2 * M[m].sum()
-            so = gsw_sample(df, optimal_weight(m), delta_m, measures=[m], seed=52).cache()
-            so.count()
+            so = gsw_sample(df, optimal_weight(m), delta_m, measures=[m], seed=52).toPandas()
             truth = exact_series(df, None, m, cfg.days)
             e_a = relative_agg_error(estimated_series(sa, None, m, cfg.days), truth)
             e_o = relative_agg_error(estimated_series(so, None, m, cfg.days), truth)
             verify.append({"measure": m, "agg_err_cgsw": e_a, "agg_err_opt": e_o})
-            so.unpersist()
-        sa.unpersist()
         out.attrs["verify"] = pd.DataFrame(verify)
     return out

@@ -70,5 +70,4 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFra
                         "agg_err": float(np.mean(errs)),
                     }
                 )
-            sample.unpersist()
     return pd.DataFrame(rows)

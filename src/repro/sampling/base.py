@@ -10,18 +10,26 @@ column ``f"{m}_est"`` with the Horvitz–Thompson-style property that
 is an unbiased (or, for priority sampling, near-unbiased) estimate of
 ``SUM(m)`` over *all* rows satisfying the same predicate. That single
 invariant is what lets :mod:`repro.core.estimators` answer the paper's
-per-day aggregation queries (eq. 4) with one ``GROUP BY t`` per task.
+per-day aggregation queries (eq. 4) with one per-day subset sum over the
+sample (one ``np.bincount`` over ``t``). A null measure is read as 0, so
+no calibrated value is null.
 
 Samplers are deterministic in their ``seed`` — Spark's ``rand(seed)`` is
 seeded per-partition, so a fixed input partitioning yields a fixed
 sample; tests rely on this.
 """
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
+from pyspark.sql import functions as F
 
 
 def est_col(measure: str) -> str:
     """Name of the calibrated (estimation) column for a measure."""
     return f"{measure}_est"
+
+
+def measure_col(measure: str) -> Column:
+    """A measure as a double, with null read as 0."""
+    return F.coalesce(F.col(measure).cast("double"), F.lit(0.0))
 
 
 def sample_fraction(sample: DataFrame, full: DataFrame) -> float:

@@ -10,16 +10,17 @@ Exp-IV makes.
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col
+from repro.sampling.base import est_col, measure_col
 
 
 def uniform_sample(
     df: DataFrame, rate: float, *, measures: list[str], seed: int
 ) -> DataFrame:
-    """Bernoulli(rate) sample with calibrated columns ``{m}_est = m/rate``."""
+    """Bernoulli(rate) sample with calibrated columns ``{m}_est = m/rate``
+    (a null ``m`` is read as 0)."""
     if not (0 < rate <= 1):
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     out = df.where(F.rand(seed) < F.lit(float(rate)))
     for m in measures:
-        out = out.withColumn(est_col(m), F.col(m).cast("double") / F.lit(float(rate)))
+        out = out.withColumn(est_col(m), measure_col(m) / F.lit(float(rate)))
     return out

@@ -1,6 +1,11 @@
 """Tests for per-day aggregation (eq. 4), oracle-checked against DuckDB."""
+import duckdb
 import numpy as np
+import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core.estimators import (
     estimated_series,
@@ -9,8 +14,23 @@ from repro.core.estimators import (
 )
 from repro.core.gsw import delta_for_rate, gsw_sample, optimal_weight
 from repro.oracle import assert_equivalent
-from repro.synth_data import random_constraint
+from repro.synth_data import ADS_DIMS, random_constraint
 from tests.conftest import DAYS
+
+
+def _duckdb_series(pdf: pd.DataFrame, where: str | None, column: str, days: int) -> np.ndarray:
+    """``SUM(column)`` per day over ``pdf`` in DuckDB, with ``where`` as written."""
+    con = duckdb.connect()
+    try:
+        con.register("s", pdf)
+        w = f"WHERE {where}" if where else ""
+        rows = con.execute(f"SELECT t, SUM({column}) FROM s {w} GROUP BY t").fetchall()
+    finally:
+        con.close()
+    want = np.zeros(days)
+    for t, v in rows:
+        want[int(t)] = float(v)
+    return want
 
 
 class TestExactSeries:
@@ -24,8 +44,6 @@ class TestExactSeries:
         ],
     )
     def test_matches_duckdb(self, ads_df, ads_pdf, where):
-        import duckdb
-
         got = exact_series(ads_df, where, "impression", DAYS)
         w = f"WHERE {where}" if where else ""
         rows = duckdb.sql(
@@ -57,10 +75,13 @@ class TestExactSeries:
         got = exact_series(ads_df, "gender IN (0) AND gender IN (1)", "impression", DAYS)
         assert got.shape == (DAYS,) and np.all(got == 0)
 
-    def test_rejects_days_outside_range(self, ads_df):
+    @pytest.mark.parametrize("series", [exact_series, estimated_series],
+                             ids=lambda f: f.__name__)
+    def test_rejects_days_outside_range(self, ads_df, series):
         # The relation has DAYS days; a shorter series must not drop the rest.
+        src = ads_df.withColumn("impression_est", F.col("impression").cast("double"))
         with pytest.raises(ValueError, match="outside"):
-            exact_series(ads_df, None, "impression", DAYS - 1)
+            series(src, None, "impression", DAYS - 1)
 
     def test_each_measure(self, ads_df, ads_pdf):
         for m in ("favorite", "click", "cart"):
@@ -72,8 +93,6 @@ class TestExactSeries:
 class TestEstimatedSeries:
     def test_unsampled_estimate_vs_oracle(self, ads_df, ads_pdf):
         """HT estimate recomputed in DuckDB over the same sample rows."""
-        import duckdb
-
         delta = delta_for_rate(ads_df, optimal_weight("impression"), 0.05)
         s = gsw_sample(ads_df, optimal_weight("impression"), delta,
                        measures=["impression"], seed=0)
@@ -97,6 +116,63 @@ class TestEstimatedSeries:
         assert relative_agg_error(est, truth) < 0.5
         # correlated day-to-day: the estimated series follows the true one
         assert np.corrcoef(est, truth)[0, 1] > 0.5
+
+
+# The kernel's oracle property test: small stored samples over three dims,
+# few enough rows that some days have zero or one row.
+_KDAYS = 6
+_KDIMS = ("gender", "device", "interest")
+_KCOLS = ["t", *_KDIMS, "impression_est"]
+_row = st.tuples(
+    st.integers(0, _KDAYS - 1),
+    *(st.integers(0, ADS_DIMS[d] - 1) for d in _KDIMS),
+    st.floats(0, 1e6),
+)
+
+
+def _frame(rows) -> pd.DataFrame:
+    pdf = pd.DataFrame(rows, columns=_KCOLS)
+    return pdf.astype({c: "int32" for c in _KCOLS[:-1]} | {"impression_est": "float64"})
+
+
+@st.composite
+def _constraints(draw):
+    """A conjunction in every operator form ``parse_where`` accepts; a dim
+    may repeat, so some conjunctions contradict themselves."""
+    clauses = []
+    for dim in draw(st.lists(st.sampled_from(_KDIMS), max_size=4)):
+        card = ADS_DIMS[dim]
+        op = draw(st.sampled_from(["=", "<", "<=", ">", ">=", "IN"]))
+        if op == "IN":
+            vals = draw(st.lists(st.integers(0, card - 1), min_size=1, max_size=card, unique=True))
+            clauses.append(f"{dim} IN ({', '.join(map(str, vals))})")
+        else:
+            clauses.append(f"{dim} {op} {draw(st.integers(0, card))}")
+    return " AND ".join(clauses) or None
+
+
+class TestEstimatedSeriesKernel:
+    """The in-memory kernel against DuckDB over the same stored rows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_row, max_size=3 * _KDAYS), where=_constraints())
+    @example(rows=[], where=None)
+    @example(rows=[], where="gender = 1")
+    @example(rows=[(0, 1, 0, 0, 2.5), (0, 0, 1, 3, 1.0), (2, 1, 2, 11, 7.0)],
+             where="gender = 0 AND gender = 1")
+    @example(rows=[(1, 1, 0, 0, 2.5), (3, 1, 1, 3, 1.0), (3, 1, 2, 11, 7.0)],
+             where="gender IN (1) AND device < 2")
+    def test_matches_duckdb(self, rows, where):
+        pdf = _frame(rows)
+        got = estimated_series(pdf, where, "impression", _KDAYS)
+        assert got.dtype == np.float64 and got.shape == (_KDAYS,)
+        want = _duckdb_series(pdf, where, "impression_est", _KDAYS)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_rejects_codes_outside_cardinality(self):
+        pdf = _frame([(0, 2, 0, 0, 1.0)])  # gender has 2 values
+        with pytest.raises(ValueError, match="gender"):
+            estimated_series(pdf, "gender = 1", "impression", _KDAYS)
 
 
 class TestRelativeAggError:

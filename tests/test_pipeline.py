@@ -1,8 +1,10 @@
 """End-to-end tests for the FlashP pipeline (sample → estimate → fit →
 forecast), matching the two online phases of Section 2.2."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.estimators import exact_series
 from repro.core.pipeline import FlashP
@@ -167,3 +169,39 @@ class TestSampleManagement:
         s = flashp.sample("agsw")
         for m in ADS_MEASURES:
             assert est_col(m) in s.columns
+
+
+class TestNullMeasure:
+    """30% of ``click`` is null: every sampler reads it as 0, so no stored
+    estimate is NaN and the served series is DuckDB's SUM over the stored
+    sample (Spark's SUM skips a null; a per-day bincount would not)."""
+
+    SOURCES = ["opt", "arith", "geo", "unif", "prio"]
+
+    @pytest.fixture(scope="class")
+    def null_fp(self, ads_df):
+        df = ads_df.withColumn("click", F.when(F.rand(5) >= 0.3, F.col("click"))).cache()
+        assert 0.2 < df.where("click IS NULL").count() / df.count() < 0.4
+        fp = FlashP(df, days=DAYS)
+        fp.add_gsw_sample("opt", rate=0.1, weights="click", seed=1)
+        fp.add_gsw_sample("arith", rate=0.1, weights=list(ADS_MEASURES), seed=1)
+        fp.add_gsw_sample("geo", rate=0.1, weights="geometric:" + ",".join(ADS_MEASURES), seed=1)
+        fp.add_uniform_sample("unif", rate=0.1, seed=1)
+        fp.add_priority_sample("prio", rate=0.1, measure="click", seed=1)
+        yield fp
+        df.unpersist()
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("where", [None, "gender IN (1) AND device IN (0, 1)"])
+    def test_served_series_matches_duckdb(self, null_fp, source, where):
+        stored = null_fp.sample(source).toPandas()
+        assert stored["click_est"].notna().all()
+        w = f"WHERE {where} " if where else ""
+        o = null_fp.run(f"FORECAST SUM(click) FROM ads {w}USING (0, {TRAIN_END})",
+                        source=source, arima_kwargs=ARIMA_FAST)
+        rows = duckdb.sql(f"SELECT t, SUM(click_est) FROM stored {w}GROUP BY t").fetchall()
+        want = np.zeros(DAYS)
+        for t, v in rows:
+            want[int(t)] = v
+        assert not np.isnan(o.series).any()
+        np.testing.assert_allclose(o.series, want[: TRAIN_END + 1], rtol=1e-9, atol=0)
