@@ -14,9 +14,11 @@ over dimensions, and biased otherwise — the ads generator deliberately
 includes a gender×interest interaction, so PIM shows the systematic
 error the paper reports (Table 1: PIM is the worst method by far).
 
-The marginal cubes are built with one Spark pass per dimension over
-the fact table (offline, like the paper's sample preprocessing), then
-held driver-side: days × Σ_dim card(dim) values per measure — tiny.
+The totals and the marginal cubes are built by one Spark scan of the
+fact table with one grouping set per cube (offline, like the paper's
+sample preprocessing), then held driver-side: days × Σ_dim card(dim)
+values per measure — tiny. A day outside ``[0, days)`` or a code outside
+its dimension's cardinality raises instead of being dropped.
 """
 from __future__ import annotations
 
@@ -34,27 +36,36 @@ class PIM:
     def __init__(self, df: DataFrame, measures: list[str], *, days: int):
         self.measures = list(measures)
         self.days = days
+        dims = list(ADS_DIMS)
         sums = [F.sum(F.col(m).cast("double")).alias(m) for m in self.measures]
-        # totals[m][t]
+        # The one dimension a row of the scan is grouped by (null: the total).
+        level = F.coalesce(*(F.when(F.grouping(d) == 0, F.lit(d)) for d in dims))
+        rows = (
+            df.groupingSets([["t"], *(["t", d] for d in dims)], "t", *dims)
+            .agg(*sums, level.alias("_dim"))
+            .collect()
+        )
+        # totals[m][t]; marginals[m][dim][t, value]
         self.totals: dict[str, np.ndarray] = {
             m: np.zeros(days) for m in self.measures
         }
-        for r in df.groupBy("t").agg(*sums).collect():
-            t = int(r["t"])
-            if 0 <= t < days:
-                for m in self.measures:
-                    self.totals[m][t] = float(r[m] or 0.0)
-        # marginals[m][dim][t, value]
         self.marginals: dict[str, dict[str, np.ndarray]] = {
             m: {d: np.zeros((days, card)) for d, card in ADS_DIMS.items()}
             for m in self.measures
         }
-        for dim, card in ADS_DIMS.items():
-            for r in df.groupBy("t", dim).agg(*sums).collect():
-                t, v = int(r["t"]), int(r[dim])
-                if 0 <= t < days and 0 <= v < card:
-                    for m in self.measures:
-                        self.marginals[m][dim][t, v] = float(r[m] or 0.0)
+        for r in rows:
+            t, dim = int(r["t"]), r["_dim"]
+            if not 0 <= t < days:
+                raise ValueError(f"day t={t} lies outside [0, {days})")
+            if dim is None:
+                for m in self.measures:
+                    self.totals[m][t] = float(r[m] or 0.0)
+                continue
+            v, card = int(r[dim]), ADS_DIMS[dim]
+            if not 0 <= v < card:
+                raise ValueError(f"{dim} code {v} lies outside [0, {card})")
+            for m in self.measures:
+                self.marginals[m][dim][t, v] = float(r[m] or 0.0)
 
     def estimate_series(self, where: str | None, measure: str) -> np.ndarray:
         """M̂_t for t = 0..days-1 under partwise independence."""

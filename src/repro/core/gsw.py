@@ -14,6 +14,8 @@ Weight choices (Sections 4.1.2 and 4.2):
 * ``arithmetic_weight(ms)`` — ``w_i = mean_j m_i^(j)``: one compressed
   sample for a group of measures (Corollary 6).
 * ``geometric_weight(ms)``  — ``w_i = (Π_j m_i^(j))^(1/k)`` (Corollary 5).
+* ``uniform_sample``        — ``w ≡ 1`` with ``Δ = (1−r)/r``: the uniform
+  baseline, Bernoulli(r) with ``m̂ = m/r``, is a GSW draw too.
 
 ``solve_delta`` finds the Δ that yields a target expected sample size by
 Newton iterations on ``E|S_Δ| = Σ_i w_i/(Δ+w_i)``, run on the driver over
@@ -61,6 +63,16 @@ def geometric_weight(measures: list[str]) -> Column:
     return F.when(k > 0, F.exp(logs / k)).otherwise(0.0)
 
 
+def _keep_and_calibrate(df: DataFrame, delta: float, measures: list[str]) -> DataFrame:
+    """Every GSW draw's membership test and calibration: keep a row of ``df``
+    iff ``_p ≤ _w/(Δ+_w)`` and attach ``{m}_est = m·(Δ+_w)/_w``."""
+    out = df.where(F.col("_p") <= F.col("_w") / (F.lit(float(delta)) + F.col("_w")))
+    factor = (F.lit(float(delta)) + F.col("_w")) / F.col("_w")
+    for m in measures:
+        out = out.withColumn(est_col(m), measure_col(m) * factor)
+    return out
+
+
 def gsw_sample(
     df: DataFrame,
     weight: Column,
@@ -71,22 +83,36 @@ def gsw_sample(
 ) -> DataFrame:
     """Draw a GSW sample and attach calibrated measures.
 
-    Output = input columns + ``_w`` (the row's sampling weight) + one
-    ``{m}_est`` per requested measure (a null measure is read as 0, as in
-    the weights). A row survives iff ``rand(seed) ≤ w/(Δ+w)``.
+    Output = input columns + ``_w`` (the row's sampling weight) + ``_p``
+    (its uniform draw) + one ``{m}_est`` per requested measure (a null
+    measure is read as 0, as in the weights). A row survives iff
+    ``rand(seed) ≤ w/(Δ+w)``.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if not measures:
         raise ValueError("measures must be non-empty")
-    out = df.withColumn("_w", weight).withColumn("_p", F.rand(seed))
-    out = out.where(F.col("_p") <= F.col("_w") / (F.lit(float(delta)) + F.col("_w")))
-    factor = (F.lit(float(delta)) + F.col("_w")) / F.col("_w")
-    for m in measures:
-        out = out.withColumn(est_col(m), measure_col(m) * factor)
     # `_p` is kept on sampled rows: Section 4.1's incremental maintenance
     # (see `increase_delta`) filters on it again without rescanning T.
-    return out
+    out = df.withColumn("_w", weight).withColumn("_p", F.rand(seed))
+    return _keep_and_calibrate(out, delta, measures)
+
+
+def uniform_sample(
+    df: DataFrame, rate: float, *, measures: list[str], seed: int
+) -> DataFrame:
+    """Bernoulli(rate) sample — the paper's uniform baseline — drawn as
+    the constant-weight GSW sample: ``w ≡ 1`` and ``Δ = (1−rate)/rate``
+    give inclusion probability ``rate`` and ``{m}_est = m/rate``. Its error
+    grows with the measure's range [29], which is why it loses to weighted
+    sampling on heavy-tailed measures (Exp-IV).
+
+    Δ = 0 at rate 1 is safe here, as ``w ≡ 1`` keeps ``Δ+w`` positive.
+    """
+    if not (0 < rate <= 1):
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    out = df.withColumn("_w", F.lit(1.0)).withColumn("_p", F.rand(seed))
+    return _keep_and_calibrate(out, (1 - rate) / rate, measures)
 
 
 def increase_delta(
@@ -98,13 +124,10 @@ def increase_delta(
     ``gsw_sample`` draws with (the paper writes it ``(1/p_i - 1)·w_i ≥ Δ′``,
     which divides by zero under ANSI mode when ``p_i = 0``), so the update
     never touches rows outside the current sample — the paper's incremental
-    maintenance. Calibrated measures are recomputed for the new Δ′.
+    maintenance. Calibrated measures are recomputed for the new Δ′. A
+    uniform sample is a GSW sample, so it shrinks the same way.
     """
-    out = sample.where(F.col("_p") <= F.col("_w") / (F.lit(float(new_delta)) + F.col("_w")))
-    factor = (F.lit(float(new_delta)) + F.col("_w")) / F.col("_w")
-    for m in measures:
-        out = out.withColumn(est_col(m), measure_col(m) * factor)
-    return out
+    return _keep_and_calibrate(sample, new_delta, measures)
 
 
 def solve_delta(

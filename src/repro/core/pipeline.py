@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -32,13 +33,13 @@ from repro.core.gsw import (
     geometric_weight,
     gsw_sample,
     optimal_weight,
+    uniform_sample,
 )
 from repro.core.task import ForecastTask, parse_task, rewrite_where
 from repro.forecast.arima import auto_arima
 from repro.forecast.lstm import LSTMForecaster
 from repro.sampling.base import est_col
 from repro.sampling.priority import priority_sample
-from repro.sampling.uniform import uniform_sample
 from repro.synth_data import ADS_DIMS, ADS_MEASURES
 
 
@@ -59,10 +60,9 @@ class ForecastOutcome:
 class FlashP:
     """One FlashP instance over one time-series relation."""
 
-    def __init__(self, df: DataFrame, *, days: int, measures: list[str] | None = None):
+    def __init__(self, df: DataFrame, *, days: int):
         self.df = df
         self.days = days
-        self.measures = list(measures or ADS_MEASURES)
         self._samples: dict[str, pd.DataFrame] = {}
         self._pim: PIM | None = None
 
@@ -94,14 +94,18 @@ class FlashP:
     def add_uniform_sample(
         self, name: str, *, rate: float, seed: int = 0
     ) -> pd.DataFrame:
-        return self._cache(name, uniform_sample(self.df, rate, measures=self.measures, seed=seed))
+        return self._cache(name, uniform_sample(self.df, rate, measures=ADS_MEASURES, seed=seed))
 
     def add_priority_sample(
         self, name: str, *, rate: float, measure: str, seed: int = 0
     ) -> pd.DataFrame:
-        n_day = self.df.count() / self.days
-        k = max(1, int(round(rate * n_day)))
+        k = max(1, int(round(rate * self._rows_per_day)))
         return self._cache(name, priority_sample(self.df, k, measure=measure, seed=seed))
+
+    @cached_property
+    def _rows_per_day(self) -> float:
+        """|T| / days, counted once on first use (only priority samples need it)."""
+        return self.df.count() / self.days
 
     def _cache(self, name: str, sample: DataFrame) -> pd.DataFrame:
         """Collect a drawn sample into the store under ``name``, keeping only
@@ -120,7 +124,7 @@ class FlashP:
 
     def build_pim(self) -> PIM:
         """Precompute the PIM baseline's per-day marginal cubes."""
-        self._pim = PIM(self.df, self.measures, days=self.days)
+        self._pim = PIM(self.df, ADS_MEASURES, days=self.days)
         return self._pim
 
     def sample(self, name: str) -> DataFrame:

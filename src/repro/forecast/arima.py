@@ -20,10 +20,7 @@ from repro.forecast.optim import norm_ppf
 
 def difference(x: np.ndarray, d: int) -> np.ndarray:
     """d-th order difference ∇^d x (length shrinks by d)."""
-    out = np.asarray(x, dtype="float64")
-    for _ in range(d):
-        out = np.diff(out)
-    return out
+    return np.diff(np.asarray(x, dtype="float64"), n=d)
 
 
 @dataclass

@@ -2,13 +2,14 @@
 
 The container has no scipy, so this module provides a standalone
 Nelder–Mead simplex minimizer (with the adaptive parameters of Gao &
-Han 2012) plus the inverse normal CDF (Acklam's rational approximation)
-needed for forecast-interval z-scores. Both are exercised directly by
-unit tests against known optima/quantiles.
+Han 2012) plus the inverse normal CDF (the standard library's
+``statistics.NormalDist``) needed for forecast-interval z-scores. Both
+are exercised directly by unit tests against known optima/quantiles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -82,30 +83,7 @@ def nelder_mead(
 
 
 def norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's approximation, |err| < 1.2e-9)."""
-    if not (0.0 < p < 1.0):
+    """Inverse standard normal CDF; ``ValueError`` unless ``0 < p < 1``."""
+    if not (0.0 < p < 1.0):  # also rejects NaN, which inv_cdf would return
         raise ValueError(f"p must be in (0,1), got {p}")
-    a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
-    b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00]
-    plow, phigh = 0.02425, 1 - 0.02425
-    if p < plow:
-        q = np.sqrt(-2 * np.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    if p > phigh:
-        q = np.sqrt(-2 * np.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1
-    )
+    return NormalDist().inv_cdf(p)

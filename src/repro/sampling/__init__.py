@@ -1,1 +1,1 @@
-"""Baseline samplers (uniform, priority) and the shared sampler contract."""
+"""The priority-sampling baseline and the shared sampler contract."""

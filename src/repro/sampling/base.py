@@ -1,9 +1,12 @@
 """Shared sampler contract.
 
 Every sampler in this reproduction is a pure DataFrame→DataFrame
-transform. Its output keeps the input's dimension columns and the day
-column ``t``, and adds, for each measure ``m`` it serves, a *calibrated*
-column ``f"{m}_est"`` with the Horvitz–Thompson-style property that
+transform. There are two: the GSW draw of :mod:`repro.core.gsw`, whose
+constant-weight case ``w ≡ 1`` is the uniform Bernoulli baseline, and the
+priority baseline of :mod:`repro.sampling.priority`. A sampler's output
+keeps the input's dimension columns and the day column ``t``, and adds,
+for each measure ``m`` it serves, a *calibrated* column ``f"{m}_est"``
+with the Horvitz–Thompson-style property that
 
     SUM(m_est)  over sample rows satisfying (C AND t = τ)
 
@@ -18,7 +21,7 @@ Samplers are deterministic in their ``seed`` — Spark's ``rand(seed)`` is
 seeded per-partition, so a fixed input partitioning yields a fixed
 sample; tests rely on this.
 """
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 
@@ -31,7 +34,3 @@ def measure_col(measure: str) -> Column:
     """A measure as a double, with null read as 0."""
     return F.coalesce(F.col(measure).cast("double"), F.lit(0.0))
 
-
-def sample_fraction(sample: DataFrame, full: DataFrame) -> float:
-    """Realized sampling rate |S| / |T| (an action: triggers two counts)."""
-    return sample.count() / max(1, full.count())

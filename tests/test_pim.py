@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.pim import PIM
 from repro.core.estimators import exact_series, relative_agg_error
-from repro.synth_data import ADS_MEASURES
+from repro.synth_data import ADS_DIMS, ADS_MEASURES
 from tests.conftest import DAYS
 
 
@@ -29,6 +29,27 @@ class TestMarginals:
             .to_numpy(dtype=float)
         )
         assert np.allclose(pim.marginals["click"]["gender"][:, 1], want)
+
+
+class TestBuild:
+    def test_one_scan(self, spark, ads_df):
+        sc, group = spark.sparkContext, "test-pim-build"
+        sc.setLocalProperty("spark.jobGroup.id", group)
+        try:
+            PIM(ads_df, list(ADS_MEASURES), days=DAYS)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert 1 <= len(sc.statusTracker().getJobIdsForGroup(group)) <= 2
+
+    def test_rejects_days_outside_range(self, ads_df):
+        with pytest.raises(ValueError, match="outside"):
+            PIM(ads_df, ["impression"], days=DAYS - 1)
+
+    def test_rejects_codes_outside_cardinality(self, spark, ads_pdf):
+        bad = ads_pdf.head(50).copy()
+        bad.loc[3, "gender"] = ADS_DIMS["gender"]
+        with pytest.raises(ValueError, match="gender"):
+            PIM(spark.createDataFrame(bad), ["impression"], days=DAYS)
 
 
 class TestEstimates:

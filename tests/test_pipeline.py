@@ -163,6 +163,18 @@ class TestSampleManagement:
         got = flashp.sample("prio_imp").count()
         assert got == DAYS * round(0.1 * n_day)
 
+    def test_table_counted_once_for_priority_samples(self, spark, ads_df):
+        """|T| is counted on the first priority sample, not on every one."""
+        fp, sc, jobs = FlashP(ads_df, days=DAYS), spark.sparkContext, []
+        for group in ("test-priority-first", "test-priority-second"):
+            sc.setLocalProperty("spark.jobGroup.id", group)
+            try:
+                fp.add_priority_sample(group, rate=0.05, measure="click", seed=2)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+        assert jobs[1] < jobs[0]
+
     def test_sample_has_calibrated_columns(self, flashp):
         from repro.sampling.base import est_col
 

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col, sample_fraction
+from repro.core.gsw import gsw_sample, increase_delta, uniform_sample
+from repro.sampling.base import est_col
 from repro.sampling.priority import priority_sample
-from repro.sampling.uniform import uniform_sample
 from repro.synth_data import ADS_MEASURES
 from tests.conftest import DAYS
 
@@ -13,7 +13,7 @@ from tests.conftest import DAYS
 class TestUniform:
     def test_rate_respected(self, ads_df):
         s = uniform_sample(ads_df, 0.1, measures=["impression"], seed=0)
-        frac = sample_fraction(s, ads_df)
+        frac = s.count() / ads_df.count()
         assert 0.08 <= frac <= 0.12
 
     def test_calibration_inverse_rate(self, ads_df):
@@ -43,6 +43,31 @@ class TestUniform:
     def test_rate_one_keeps_almost_all(self, ads_df):
         s = uniform_sample(ads_df, 1.0, measures=["impression"], seed=0)
         assert s.count() == ads_df.count()
+
+
+class TestUniformIsConstantWeightGSW:
+    """Uniform sampling is the GSW draw with w ≡ 1 and Δ = (1−r)/r."""
+
+    @staticmethod
+    def _rows(sample):
+        pdf = sample.toPandas()
+        return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
+
+    @pytest.mark.parametrize("rate", [0.005, 0.1, 0.5])
+    def test_equals_gsw_draw(self, ads_df, rate):
+        unif = uniform_sample(ads_df, rate, measures=["impression"], seed=3)
+        gsw = gsw_sample(ads_df, F.lit(1.0), (1 - rate) / rate,
+                         measures=["impression"], seed=3)
+        assert self._rows(unif).equals(self._rows(gsw))
+
+    def test_increase_delta_equals_direct_draw(self, ads_df):
+        """Shrinking a uniform sample from rate r to r′ equals drawing at r′."""
+        r, r2 = 0.2, 0.05
+        s = uniform_sample(ads_df, r, measures=["impression"], seed=6).cache()
+        shrunk = increase_delta(s, (1 - r2) / r2, measures=["impression"])
+        direct = uniform_sample(ads_df, r2, measures=["impression"], seed=6)
+        assert self._rows(shrunk).equals(self._rows(direct))
+        s.unpersist()
 
 
 class TestPriority:
