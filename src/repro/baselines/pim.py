@@ -27,6 +27,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.task import parse_where
+from repro.sampling.base import per_core
 from repro.synth_data import ADS_DIMS
 
 
@@ -41,7 +42,7 @@ class PIM:
         # The one dimension a row of the scan is grouped by (null: the total).
         level = F.coalesce(*(F.when(F.grouping(d) == 0, F.lit(d)) for d in dims))
         rows = (
-            df.groupingSets([["t"], *(["t", d] for d in dims)], "t", *dims)
+            per_core(df).groupingSets([["t"], *(["t", d] for d in dims)], "t", *dims)
             .agg(*sums, level.alias("_dim"))
             .collect()
         )

@@ -28,7 +28,7 @@ import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col, measure_col
+from repro.sampling.base import est_col, measure_col, per_core
 
 
 def optimal_weight(measure: str) -> Column:
@@ -188,11 +188,8 @@ def delta_for_rate(df: DataFrame, weight: Column, rate: float, **kw) -> float:
     One Spark pass collects the exact weight histogram
     (``groupBy(w).count()``); ``solve_delta`` then runs on the driver.
     """
-    # One map task per core: with the table's many small partitions, each
-    # would write a shuffle block per reduce partition (several times slower).
     hist = (
-        df.select(weight.alias("w"))
-        .coalesce(df.sparkSession.sparkContext.defaultParallelism)
+        per_core(df.select(weight.alias("w")))
         .groupBy("w").count().toPandas()
         .sort_values("w")  # a fixed summation order, whatever the partitioning
     )

@@ -6,8 +6,9 @@ online phase processes a forecasting task in two steps:
 
 1. *Aggregation*: the Query Rewriter turns the task into per-day SUM
    queries (eq. 4), answered either on the full relation (one Catalyst
-   Filter→Aggregate on Spark) or from one of the stored samples'
-   calibrated columns (one ``np.bincount`` per task, no Spark job).
+   Filter→Aggregate on Spark, one map task per core) or from one of the
+   stored samples' calibrated columns (one ``np.bincount`` per task, no
+   Spark job).
 2. *Forecasting*: the estimated series M̂_{ts..te} trains the requested
    model (auto-ARIMA or LSTM), which predicts FORE_PERIOD future days
    with confidence intervals.
@@ -38,7 +39,7 @@ from repro.core.gsw import (
 from repro.core.task import ForecastTask, parse_task, rewrite_where
 from repro.forecast.arima import auto_arima
 from repro.forecast.lstm import LSTMForecaster
-from repro.sampling.base import est_col
+from repro.sampling.base import est_col, per_core
 from repro.sampling.priority import priority_sample
 from repro.synth_data import ADS_DIMS, ADS_MEASURES
 
@@ -105,7 +106,7 @@ class FlashP:
     @cached_property
     def _rows_per_day(self) -> float:
         """|T| / days, counted once on first use (only priority samples need it)."""
-        return self.df.count() / self.days
+        return per_core(self.df).count() / self.days
 
     def _cache(self, name: str, sample: DataFrame) -> pd.DataFrame:
         """Collect a drawn sample into the store under ``name``, keeping only
@@ -113,12 +114,7 @@ class FlashP:
         The paper's sampling phase is offline and its samples are served
         from memory, so no task pays for the draw or for a Spark job."""
         served = {"t", *ADS_DIMS, *map(est_col, ADS_MEASURES)}
-        sc = self.df.sparkSession.sparkContext
-        s = (
-            sample.select([c for c in sample.columns if c in served])
-            .coalesce(sc.defaultParallelism)
-            .toPandas()
-        )
+        s = per_core(sample.select([c for c in sample.columns if c in served])).toPandas()
         self._samples[name] = s
         return s
 

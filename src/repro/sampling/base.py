@@ -19,9 +19,10 @@ no calibrated value is null.
 
 Samplers are deterministic in their ``seed`` — Spark's ``rand(seed)`` is
 seeded per-partition, so a fixed input partitioning yields a fixed
-sample; tests rely on this.
+sample; tests rely on this. It is also why :func:`per_core` must sit
+above every ``rand`` in a plan, never below it.
 """
-from pyspark.sql import Column
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 
@@ -34,3 +35,15 @@ def measure_col(measure: str) -> Column:
     """A measure as a double, with null read as 0."""
     return F.coalesce(F.col(measure).cast("double"), F.lit(0.0))
 
+
+def per_core(df: DataFrame) -> DataFrame:
+    """``df`` merged into one partition per core by a narrow ``coalesce``.
+
+    Every Spark pass over the table goes through it: a cached table keeps
+    one small partition per ingest batch, and a scan with a task per
+    partition spends most of its time scheduling tasks and writing one
+    shuffle block per task and reduce partition. The coalesce adds no
+    shuffle and keeps each input partition whole, so a ``rand(seed)``
+    below it draws the same values as without it.
+    """
+    return df.coalesce(df.sparkSession.sparkContext.defaultParallelism)

@@ -16,7 +16,7 @@ functions over the day partition — no RDDs, no Python row UDFs.
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col
+from repro.sampling.base import est_col, per_core
 
 
 def priority_sample(
@@ -30,7 +30,9 @@ def priority_sample(
     if k_per_day < 1:
         raise ValueError(f"k_per_day must be >= 1, got {k_per_day}")
     m = F.col(measure).cast("double")
-    with_q = df.withColumn("_q", m / F.rand(seed))
+    # The window's shuffle reads one map task per core; the coalesce sits
+    # above ``rand`` so the draw does not depend on it.
+    with_q = per_core(df.withColumn("_q", m / F.rand(seed)))
     win = Window.partitionBy("t").orderBy(F.desc("_q"))
     ranked = with_q.withColumn("_rn", F.row_number().over(win))
     tau = (

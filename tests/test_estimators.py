@@ -83,6 +83,17 @@ class TestExactSeries:
         with pytest.raises(ValueError, match="outside"):
             series(src, None, "impression", DAYS - 1)
 
+    @pytest.mark.parametrize("measure", ["click", "impression"])
+    @pytest.mark.parametrize(
+        "where", [None, "gender IN (1) AND device IN (0, 1)", "gender IN (0) AND gender IN (1)"]
+    )
+    def test_many_partitions_match_duckdb(self, ads_wide_df, ads_wide_pdf, where, measure):
+        """A table cached in many more partitions than cores, with 30% of
+        ``click`` null: Spark's SUM and DuckDB's both skip the nulls."""
+        got = exact_series(ads_wide_df, where, measure, DAYS)
+        want = _duckdb_series(ads_wide_pdf, where, measure, DAYS)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
     def test_each_measure(self, ads_df, ads_pdf):
         for m in ("favorite", "click", "cart"):
             got = exact_series(ads_df, None, m, DAYS)
