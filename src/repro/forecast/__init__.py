@@ -1,1 +1,1 @@
-"""Forecasting substrate: Nelder-Mead, CSS ARMA/ARIMA, numpy LSTM."""
+"""Forecasting substrate: Levenberg–Marquardt, CSS ARMA/ARIMA, numpy LSTM."""

@@ -3,10 +3,12 @@ forecasting model (their deployment uses pmdarima / X-13ARIMA-SEATS; we
 reproduce the same model class and the same AIC selection criterion).
 
 ``fit_arima`` differences the series ``d`` times, standardizes, fits an
-ARMA(p,q) by CSS (see :mod:`repro.forecast.arma`), and integrates the
-forecasts (and ψ-weights, via d-fold cumulative sums) back to the
-original scale. ``auto_arima`` picks ``d`` by the standard
-variance-reduction heuristic and (p,q) by grid-search on AIC.
+ARMA(p,q) by CSS with Levenberg–Marquardt from Hannan–Rissanen starts
+(see :mod:`repro.forecast.arma`), and integrates the forecasts (and
+ψ-weights, via d-fold cumulative sums) back to the original scale.
+``auto_arima`` picks ``d`` by the standard variance-reduction heuristic
+and (p,q) by grid-search on AIC; ``max_iter`` caps each candidate's
+solver iterations.
 """
 from __future__ import annotations
 

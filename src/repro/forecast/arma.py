@@ -1,13 +1,21 @@
 """ARMA(p,q) forecasting — eq. (3) of the paper.
 
 Fitting is by conditional sum of squares (CSS): residuals are computed
-recursively with pre-sample residuals set to 0, and the squared-residual
-sum is minimized over (intercept, α₁..α_p, β₁..β_q) with Nelder–Mead.
-CSS is the classic stand-in for full MLE (statsmodels' default start),
-adequate for t₀ ≈ 150 training points. Stationarity/invertibility hold
-by construction: the optimizer searches over unconstrained values that
+recursively with pre-sample residuals set to 0, and their sum of squares
+is minimized over (intercept, α₁..α_p, β₁..β_q) by Levenberg–Marquardt
+(Marquardt 1963), since CSS is a least-squares problem in the residual
+vector. CSS is the classic stand-in for full MLE (statsmodels' default
+start), adequate for t₀ ≈ 150 training points. Stationarity/invertibility
+hold by construction: the solver searches over unconstrained values that
 map, through partial autocorrelations (Jones 1980; Monahan 1984), to
 AR/MA polynomials whose roots all lie outside radius 1.05.
+
+Each fit starts from white noise around the mean with the lag-1
+autocorrelation as AR₁, and from the Hannan & Rissanen (1982)
+least-squares estimates (two, from two long autoregressions, when there
+is an MA part), mapped into the unconstrained values by the
+Durbin–Levinson step-down. Every start runs a few iterations; the one with
+the lower CSS runs on to convergence.
 
 Forecast intervals come from the MA(∞) ψ-weights:
 ``Var[M_{T+h} - M̂_{T+h|T}] = σ² Σ_{j<h} ψ_j²`` and a normal quantile —
@@ -20,7 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.forecast.optim import MinimizeResult, nelder_mead, norm_ppf
+from repro.forecast.optim import MinimizeResult, levenberg_marquardt, norm_ppf
+
+# Not used here: perfbench's traced run wraps ``arma.nelder_mead`` when it
+# installs its spans, so the name must resolve in this module.
+from repro.forecast.optim import nelder_mead  # noqa: F401
 
 
 def css_residuals(x: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
@@ -89,6 +101,93 @@ def _constrain(u: np.ndarray) -> np.ndarray:
     return np.array([cj / _ROOT_R**j for j, cj in enumerate(c, 1)])
 
 
+# A start's partial autocorrelations are clipped inside this bound, so a
+# start outside the root radius still maps to finite free values.
+_START_PACF_MAX = 0.99
+
+
+def _unconstrain(c: np.ndarray) -> np.ndarray:
+    """Free values ``u`` with ``_constrain(u) ≈ c``: the Durbin–Levinson step-down.
+
+    Undoes the radius scaling, then peels the partial autocorrelations off
+    the polynomial from the highest lag down. Each partial is clipped
+    inside ``±_START_PACF_MAX``, so a polynomial with a root inside the
+    radius maps to a nearby one outside it instead of failing.
+    """
+    c = [cj * _ROOT_R**j for j, cj in enumerate(np.asarray(c, dtype="float64").tolist(), 1)]
+    u: list[float] = []
+    while c:
+        r = min(max(c[-1], -_START_PACF_MAX), _START_PACF_MAX)
+        c = [(cj + r * ck) / (1.0 - r * r) for cj, ck in zip(c[:-1], reversed(c[:-1]))]
+        u.append(math.atanh(r))
+    return np.array(u[::-1])
+
+
+def _yule_walker_by_aic(x: np.ndarray, top: int) -> list[float]:
+    """Yule–Walker AR coefficients of ``x`` at the order in ``1..top`` that minimizes AIC.
+
+    The Durbin–Levinson recursion gives every order's coefficients and
+    innovation variance from the sample autocovariances in one pass.
+    """
+    n = len(x)
+    xc = x - x.mean()
+    acov = [float(xc[k:] @ xc[: n - k]) / n for k in range(top + 1)]
+    phi: list[float] = []
+    v, best, best_phi = acov[0], math.inf, [0.0]
+    for k in range(1, top + 1):
+        if v <= 0:  # a constant series, or a perfect fit at k - 1
+            break
+        r = (acov[k] - sum(a * g for a, g in zip(phi, reversed(acov[1:k])))) / v
+        phi = [a - r * b for a, b in zip(phi, reversed(phi))] + [r]
+        v *= 1.0 - r * r
+        aic = n * math.log(max(v, 1e-300)) + 2 * k
+        if aic < best:
+            best, best_phi = aic, phi
+    return best_phi
+
+
+def hannan_rissanen(
+    x: np.ndarray, p: int, q: int, m: int | None = None
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Hannan & Rissanen (1982) estimates ``(c, ar, ma)`` of ARMA(p,q) on ``x``.
+
+    The residuals of a long autoregression stand in for the unobserved
+    innovations; OLS of ``x_t`` on a constant, ``x_{t-1..t-p}`` and those
+    residuals at lags ``1..q`` then gives the coefficients. The long AR is
+    the OLS fit of order ``m`` or, when ``m`` is None, the Yule–Walker fit
+    at the order up to 10·log₁₀(n) that minimizes AIC, as in Hannan &
+    Rissanen. Its order is cut so that both regressions have at least as
+    many rows as coefficients. With ``q = 0`` the second regression is the
+    CSS fit itself. The estimates need not be stationary or invertible.
+    """
+    x = np.asarray(x, dtype="float64")
+    n = len(x)
+
+    def ols(start: int, *series_lags: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and residuals of ``x_t`` (``t ≥ start``) on a constant and lagged series."""
+        cols = [np.ones(n - start)]
+        cols += [v[start - i : n - i] for v, k in series_lags for i in range(1, k + 1)]
+        design = np.column_stack(cols)
+        beta = np.linalg.lstsq(design, x[start:], rcond=None)[0]
+        return beta, x[start:] - design @ beta
+
+    if q == 0:
+        beta, _ = ols(p, (x, p))
+        return float(beta[0]), beta[1:], np.empty(0)
+    top = max(1, min((n - 1) // 2, n - 1 - p - 2 * q))
+    e = np.zeros(n)
+    if m is None:
+        phi = _yule_walker_by_aic(x, min(int(10 * math.log10(n)), top))
+        m = len(phi)
+        xc = x - x.mean()
+        e[m:] = xc[m:] - sum(a * xc[m - i : n - i] for i, a in enumerate(phi, 1))
+    else:
+        m = min(m, top)
+        _, e[m:] = ols(m, (x, m))
+    beta, _ = ols(m + q, (x, p), (e, q))
+    return float(beta[0]), beta[1 : 1 + p], beta[1 + p :]
+
+
 @dataclass
 class ARMAResult:
     """A fitted ARMA(p,q) model on a (possibly standardized) series."""
@@ -102,8 +201,8 @@ class ARMAResult:
     aic: float
     resid: np.ndarray
     x: np.ndarray = field(repr=False)
-    nit: int             # Nelder–Mead iterations of the fit
-    converged: bool      # whether Nelder–Mead met its tolerances
+    nit: int             # Levenberg–Marquardt iterations (Jacobians) of the kept start
+    converged: bool      # whether Levenberg–Marquardt met its tolerances
 
     def psi_weights(self, h: int) -> np.ndarray:
         """MA(∞) weights ψ_0..ψ_{h-1} of the fitted process."""
@@ -146,8 +245,12 @@ class ARMAResult:
         return out, out - z * se, out + z * se
 
 
+# Iterations each start runs before the one with the lower CSS goes on.
+_RACE_ITERS = 5
+
+
 def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResult:
-    """Fit ARMA(p,q) to ``x`` by CSS + Nelder–Mead."""
+    """Fit ARMA(p,q) to ``x`` by CSS + Levenberg–Marquardt from up to three starts."""
     x = np.asarray(x, dtype="float64")
     n = len(x)
     if n <= p + q + 1:
@@ -158,9 +261,8 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
     def unpack(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         return float(theta[0]), _constrain(theta[1 : 1 + p]), -_constrain(theta[1 + p :])
 
-    def objective(theta: np.ndarray) -> float:
-        e = css_residuals(x, *unpack(theta))
-        return float(np.sum(e * e))
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        return css_residuals(x, *unpack(theta))
 
     # Start from white noise around the mean; seed AR1 with lag-1 autocorr.
     theta0 = np.zeros(1 + p + q)
@@ -174,7 +276,25 @@ def fit_arma(x: np.ndarray, p: int, q: int, *, max_iter: int = 2000) -> ARMAResu
             theta0[0] = mean * (1.0 - ar1)
             theta0[1] = np.arctanh(ar1 * _ROOT_R)
 
-    res: MinimizeResult = nelder_mead(objective, theta0, max_iter=max_iter)
+    # Hannan–Rissanen starts from two long ARs: Yule–Walker at the
+    # AIC-chosen order, and OLS at a fixed order that grows with n
+    # (statsmodels' default). The CSS surface has several basins, and each
+    # long AR leads into a different one on some series. Without an MA part
+    # the long AR is not used.
+    starts = [theta0]
+    fixed_order = max(2 * max(p, q), int(12 * (n / 100) ** 0.25))
+    for m in (None, fixed_order) if q else (None,):
+        hr_c, hr_ar, hr_ma = hannan_rissanen(x, p, q, m)
+        starts.append(np.concatenate(([hr_c], _unconstrain(hr_ar), _unconstrain(-hr_ma))))
+
+    race = min(_RACE_ITERS, max_iter)
+    res: MinimizeResult = min(
+        (levenberg_marquardt(residuals, t, max_iter=race) for t in starts),
+        key=lambda r: r.fun,
+    )
+    if not res.converged and res.nit < max_iter:
+        more = levenberg_marquardt(residuals, res.x, max_iter=max_iter - res.nit)
+        res = MinimizeResult(more.x, more.fun, res.nit + more.nit, more.converged)
     c, ar, ma = unpack(res.x)
     e = css_residuals(x, c, ar, ma)
     neff = len(e)

@@ -10,8 +10,9 @@ what gives the forecasting layer independent noise ε_t):
 * the estimator for a sampled row is ``m̂_i = max(m_i, τ_t)``.
 
 ``Σ m̂_i`` over sampled rows of any subset is an unbiased estimate of the
-subset sum, with RSTD ``≤ sqrt(1/(k-1))``. Implemented with window
-functions over the day partition — no RDDs, no Python row UDFs.
+subset sum, with RSTD ``≤ sqrt(1/(k-1))``. Implemented with two window
+functions over the day partition, the rank and τ, which share one shuffle
+— no join, no RDDs, no Python row UDFs.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
@@ -33,15 +34,15 @@ def priority_sample(
     # The window's shuffle reads one map task per core; the coalesce sits
     # above ``rand`` so the draw does not depend on it.
     with_q = per_core(df.withColumn("_q", m / F.rand(seed)))
-    win = Window.partitionBy("t").orderBy(F.desc("_q"))
-    ranked = with_q.withColumn("_rn", F.row_number().over(win))
-    tau = (
-        ranked.where(F.col("_rn") == k_per_day + 1)
-        .select("t", F.col("_q").alias("_tau"))
+    ranked = with_q.withColumn(
+        "_rn", F.row_number().over(Window.partitionBy("t").orderBy(F.desc("_q")))
     )
+    # τ comes from a second window over the same day partitions, which the
+    # ranking already clustered and sorted by t, so the draw shuffles once.
+    tau = F.max(F.when(F.col("_rn") == k_per_day + 1, F.col("_q")))
     sample = (
-        ranked.where(F.col("_rn") <= k_per_day)
-        .join(tau, on="t", how="left")
+        ranked.withColumn("_tau", tau.over(Window.partitionBy("t")))
+        .where(F.col("_rn") <= k_per_day)
         .withColumn(
             est_col(measure),
             F.greatest(m, F.coalesce(F.col("_tau"), F.lit(0.0))),

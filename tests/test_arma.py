@@ -4,9 +4,18 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.forecast import arma
+from repro.forecast import arima, arma
 from repro.forecast.arima import auto_arima
-from repro.forecast.arma import ARMAResult, _constrain, css_residuals, fit_arma
+from repro.forecast.arma import (
+    ARMAResult,
+    _constrain,
+    _unconstrain,
+    css_residuals,
+    fit_arma,
+    hannan_rissanen,
+)
+from repro.forecast.optim import nelder_mead
+from tests.test_arima import trend_season
 
 
 def _css_reference(x, c, ar, ma):
@@ -125,6 +134,20 @@ class TestConstrain:
             assert np.all(np.isfinite(_constrain(u)))
             assert self._roots_bound(u, kind) >= _ROOT_BOUND
 
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_step_down_inverts(self, k):
+        """``_constrain ∘ _unconstrain`` is the identity on polynomials whose
+        partials lie inside the start clip."""
+        g = np.random.default_rng(k)
+        for _ in range(200):
+            c = _constrain(np.arctanh(g.uniform(-0.98, 0.98, k)))
+            assert np.allclose(_constrain(_unconstrain(c)), c, rtol=0, atol=1e-12)
+
+    def test_step_down_clips_outside_radius(self):
+        """A root inside the radius maps to the clipped partial, not to NaN."""
+        u = _unconstrain(np.array([1.5, -0.2]))
+        assert np.all(np.isfinite(u)) and np.all(np.abs(np.tanh(u)) <= 0.99 + 1e-12)
+
     def test_zero_maps_to_zero(self):
         for k in range(5):
             assert np.array_equal(_constrain(np.zeros(k)), np.zeros(k))
@@ -165,6 +188,96 @@ class TestAutoArimaMatchesReference:
             assert all(np.array_equal(a, b) for a, b in zip(fast_fc, ref_fc))
             assert fast.arma.nit == ref.arma.nit
             assert fast_calls == ref_calls
+
+
+def _fit_arma_nelder_mead(x, p, q, *, max_iter=2000):
+    """CSS fit by Nelder–Mead from the white-noise start alone: the reference
+    whose chosen AIC the Levenberg–Marquardt fit must match or beat."""
+    x = np.asarray(x, dtype="float64")
+    n = len(x)
+    if n <= p + q + 1:
+        raise ValueError(f"series too short ({n}) for ARMA({p},{q})")
+    mean = float(x.mean())
+
+    def unpack(theta):
+        return float(theta[0]), _constrain(theta[1 : 1 + p]), -_constrain(theta[1 + p :])
+
+    def objective(theta):
+        e = css_residuals(x, *unpack(theta))
+        return float(np.sum(e * e))
+
+    theta0 = np.zeros(1 + p + q)
+    theta0[0] = mean
+    if p >= 1 and n > 2:
+        xc = x - mean
+        denom = float(np.dot(xc, xc))
+        if denom > 0:
+            ar1 = float(np.clip(float(np.dot(xc[1:], xc[:-1])) / denom, -0.9, 0.9))
+            theta0[0] = mean * (1.0 - ar1)
+            theta0[1] = np.arctanh(ar1 * 1.05)
+    res = nelder_mead(objective, theta0, max_iter=max_iter)
+    c, ar, ma = unpack(res.x)
+    e = css_residuals(x, c, ar, ma)
+    sigma2 = float(np.sum(e * e)) / len(e)
+    aic = len(e) * np.log(max(sigma2, 1e-300)) + 2 * (p + q + 2)
+    return ARMAResult(p, q, c, ar, ma, sigma2, float(aic), e, x, res.nit, res.converged)
+
+
+def _arima_test_series():
+    """Every series ``tests/test_arima.py`` fits, and the reference class's three."""
+    rng = np.random.default_rng
+    return [
+        trend_season(157, seed=7)[:150],
+        trend_season(150, slope=10.0, noise=5.0, seed=8),
+        rng(9).normal(50, 1, 200),
+        trend_season(100, seed=10),
+        np.array([3.0, 5.0, 4.0, 6.0, 5.0, 7.0]),
+        trend_season(100, seed=12),
+        trend_season(120, seed=11),
+        trend_season(120),
+        10.0 + 3.0 * np.arange(60),
+        rng(1).normal(0, 1, 300),
+        np.cumsum(rng(2).normal(0, 1, 300)),
+        np.cumsum(np.cumsum(rng(3).normal(0, 1, 300))),
+        np.cumsum(rng(5).normal(0, 3.0, 800)),
+        np.cumsum(rng(6).normal(0, 1, 400)),
+        *TestAutoArimaMatchesReference._series(),
+    ]
+
+
+class TestNotWorseThanNelderMead:
+    """On every test series, auto_arima's chosen AIC is at most that of the
+    Nelder–Mead-driven reference (``_fit_arma_nelder_mead``)."""
+
+    @pytest.mark.parametrize(
+        "grid", [{"max_p": 2, "max_q": 2, "max_d": 1}, {}], ids=["bench", "default"]
+    )
+    @pytest.mark.parametrize("i", range(len(_arima_test_series())))
+    def test_chosen_aic(self, monkeypatch, grid, i):
+        x = _arima_test_series()[i]
+        fit = auto_arima(x, **grid)
+        monkeypatch.setattr(arima, "fit_arma", _fit_arma_nelder_mead)
+        ref = auto_arima(x, **grid)
+        assert fit.aic <= ref.aic + 1e-5
+
+
+class TestHannanRissanen:
+    def test_recovers_ar2(self):
+        x = simulate_arma([0.5, -0.3], [], 4000, const=1.0, seed=21)
+        c, ar, ma = hannan_rissanen(x, 2, 0)
+        assert np.allclose(ar, [0.5, -0.3], atol=0.05) and ma.size == 0
+        assert c == pytest.approx(1.0, abs=0.1)
+
+    def test_recovers_arma11(self):
+        x = simulate_arma([0.6], [0.3], 4000, seed=22)
+        _, ar, ma = hannan_rissanen(x, 1, 1)
+        assert ar[0] == pytest.approx(0.6, abs=0.07)
+        assert ma[0] == pytest.approx(0.3, abs=0.07)
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (2, 2), (1, 0)])
+    def test_shortest_series_gives_finite_estimates(self, p, q):
+        x = np.random.default_rng(0).normal(size=p + q + 2)
+        assert all(np.all(np.isfinite(v)) for v in hannan_rissanen(x, p, q))
 
 
 class TestFitRecovery:

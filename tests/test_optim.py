@@ -1,10 +1,56 @@
-"""Unit tests for the Nelder–Mead substrate and the normal quantile."""
+"""Unit tests for the minimizers and the normal quantile."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.forecast.optim import nelder_mead, norm_ppf
+from repro.forecast.optim import levenberg_marquardt, nelder_mead, norm_ppf
+
+
+def _rosenbrock_residuals(v):
+    """Rosenbrock's function as the sum of squares of two residuals."""
+    return np.array([1.0 - v[0], 10.0 * (v[1] - v[0] ** 2)])
+
+
+class TestLevenbergMarquardt:
+    def test_exact_on_linear_least_squares(self):
+        g = np.random.default_rng(0)
+        a, b = g.normal(size=(50, 4)), g.normal(size=50)
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        r = levenberg_marquardt(lambda v: a @ v - b, np.zeros(4))
+        assert r.converged
+        assert np.allclose(r.x, want, rtol=0, atol=1e-6)
+        assert r.fun == pytest.approx(float(np.sum((a @ want - b) ** 2)), rel=1e-10)
+
+    def test_rosenbrock(self):
+        r = levenberg_marquardt(_rosenbrock_residuals, np.array([-1.2, 1.0]))
+        assert r.converged and r.nit <= 200
+        assert np.allclose(r.x, [1.0, 1.0], atol=1e-6)
+        assert r.fun < 1e-12
+
+    def test_reports_function_value(self):
+        r = levenberg_marquardt(lambda v: np.array([v[0] - 1.0, 2.0]), np.array([5.0]))
+        assert r.x[0] == pytest.approx(1.0) and r.fun == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 5])
+    def test_max_iter_respected(self, max_iter):
+        r = levenberg_marquardt(_rosenbrock_residuals, np.array([-1.2, 1.0]), max_iter=max_iter)
+        assert r.nit <= max_iter and not r.converged
+
+    def test_zero_dim(self):
+        r = levenberg_marquardt(lambda v: np.array([3.0, 4.0]), np.array([]))
+        assert r.fun == 25.0 and r.nit == 0 and r.converged
+
+    def test_flat_coordinate_stays(self):
+        """A coordinate the residuals ignore (a zero Jacobian column) does not move."""
+        r = levenberg_marquardt(lambda v: np.array([v[0] - 2.0, 0.5 * (v[0] - 2.0)]), np.array([0.0, 7.0]))
+        assert r.converged and r.x[0] == pytest.approx(2.0) and r.x[1] == 7.0
+
+    @given(st.floats(-5, 5), st.floats(-5, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_translated_quadratic_property(self, a, b):
+        r = levenberg_marquardt(lambda v: np.array([v[0] - a, 3.0 * (v[1] - b)]), np.zeros(2))
+        assert r.converged and np.allclose(r.x, [a, b], atol=1e-8)
 
 
 class TestNelderMead:

@@ -1,10 +1,11 @@
 """Tests for the uniform and priority sampler baselines."""
 import numpy as np
 import pytest
+from pyspark.sql import Window
 from pyspark.sql import functions as F
 
 from repro.core.gsw import gsw_sample, increase_delta, uniform_sample
-from repro.sampling.base import est_col
+from repro.sampling.base import est_col, per_core
 from repro.sampling.priority import priority_sample
 from repro.synth_data import ADS_MEASURES
 from tests.conftest import DAYS
@@ -70,7 +71,46 @@ class TestUniformIsConstantWeightGSW:
         s.unpersist()
 
 
+def _priority_two_branches(df, k, *, measure, seed):
+    """``priority_sample`` as a self-join of the ranked rows with their
+    (k+1)-th priority per day: the reference for the one-shuffle draw."""
+    m = F.col(measure).cast("double")
+    with_q = per_core(df.withColumn("_q", m / F.rand(seed)))
+    ranked = with_q.withColumn(
+        "_rn", F.row_number().over(Window.partitionBy("t").orderBy(F.desc("_q")))
+    )
+    tau = ranked.where(F.col("_rn") == k + 1).select("t", F.col("_q").alias("_tau"))
+    return (
+        ranked.where(F.col("_rn") <= k)
+        .join(tau, on="t", how="left")
+        .withColumn(est_col(measure), F.greatest(m, F.coalesce(F.col("_tau"), F.lit(0.0))))
+        .drop("_q", "_rn", "_tau")
+    )
+
+
 class TestPriority:
+    @pytest.mark.parametrize("k", [1, 40, 2000])
+    @pytest.mark.parametrize("measure", ["impression", "click"])
+    def test_same_sample_as_two_branch_draw(self, ads_wide_df, measure, k):
+        """Same rows and bit-identical ``{m}_est`` as the self-join version
+        (``click`` is 30% null; k = 2000 keeps every day whole, τ = 0)."""
+        cols = ["t", "age_group", "gender", "occupation", measure, est_col(measure)]
+
+        def rows(df):
+            return df.select(*cols).toPandas().sort_values(cols, ignore_index=True)
+
+        got = rows(priority_sample(ads_wide_df, k, measure=measure, seed=5))
+        want = rows(_priority_two_branches(ads_wide_df, k, measure=measure, seed=5))
+        assert len(got) > 0
+        assert got.equals(want)
+
+    def test_shuffles_once(self, ads_wide_df):
+        s = priority_sample(ads_wide_df, 40, measure="impression", seed=0)
+        s.collect()
+        final = s._jdf.queryExecution().executedPlan()  # AdaptiveSparkPlan, once run
+        plan = final.executedPlan().toString()
+        assert plan.count("Exchange hashpartitioning") == 1, plan
+
     def test_exactly_k_rows_per_day(self, ads_df):
         k = 40
         s = priority_sample(ads_df, k, measure="impression", seed=0)
