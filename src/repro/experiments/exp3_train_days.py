@@ -20,8 +20,8 @@ def run_exp3(
     df: DataFrame,
     cfg: ExpConfig,
     *,
-    train_days_sweep: tuple[int, ...] = (30, 60, 100, 150),
-    models: tuple[str, ...] = ("arima", "lstm"),
+    train_days_sweep: tuple[int, ...],
+    models: tuple[str, ...],
 ) -> pd.DataFrame:
     """Sweep the training-window length at fixed selectivity 5%."""
     fp = FlashP(df, days=cfg.days)

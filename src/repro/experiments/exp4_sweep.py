@@ -41,13 +41,7 @@ def build_samplers(fp: FlashP, cfg: ExpConfig, measure: str) -> dict[tuple[str, 
     return sources
 
 
-def run_exp4(
-    df: DataFrame,
-    cfg: ExpConfig,
-    *,
-    measure: str = "favorite",
-    model: str = "arima",
-) -> pd.DataFrame:
+def run_exp4(df: DataFrame, cfg: ExpConfig, *, measure: str, model: str) -> pd.DataFrame:
     """The full sampler × rate × selectivity sweep for one measure."""
     fp = FlashP(df, days=cfg.days)
     sources = build_samplers(fp, cfg, measure)

@@ -28,13 +28,17 @@ from repro.theory.bounds import expected_sample_size, rstd_exact
 PAPER_RATIO = 1.8  # paper: Σ Opt-GSW sizes ≈ 1.8 × C-GSW size
 
 
-def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02) -> pd.DataFrame:
+def run_exp5(
+    df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None
+) -> tuple[pd.DataFrame, pd.DataFrame | None]:
     """Size-match Optimal GSW to Arithmetic C-GSW per rate.
 
-    Returns one row per compressed-sample rate with the per-measure
-    Optimal sizes, the total, and the size ratio. If ``verify_rate`` is
-    given, that rate's matching is additionally verified empirically by
-    drawing the sized samples in Spark.
+    Returns two tables. The first has one row per compressed-sample rate
+    with the per-measure Optimal sizes, the total, and the size ratio.
+    The second verifies the matching at ``verify_rate`` empirically, by
+    drawing the sized samples in Spark: one row per measure with both
+    aggregation errors. It is None when ``verify_rate`` is None or not
+    one of ``cfg.rates``.
     """
     M = measure_matrix(df, list(ADS_MEASURES))
     w_arith = np.mean([M[m] for m in ADS_MEASURES], axis=0)
@@ -69,7 +73,7 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
         )
 
     out = pd.DataFrame(rows)
-
+    verify = None
     if verify_rate is not None and verify_rate in cfg.rates:
         # Empirical check: matched sizes give matched aggregation errors.
         row = out[out["cgsw_rate"] == verify_rate].iloc[0]
@@ -77,7 +81,7 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
             df, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),
             measures=list(ADS_MEASURES), seed=51,
         ).toPandas()
-        verify = []
+        errs = []
         for m in ADS_MEASURES:
             # recompute the matched Δ for this measure
             r_a = rstd_exact(M[m], w_arith, float(row["cgsw_delta"]))
@@ -86,6 +90,6 @@ def run_exp5(df: DataFrame, cfg: ExpConfig, *, verify_rate: float | None = 0.02)
             truth = exact_series(df, None, m, cfg.days)
             e_a = relative_agg_error(estimated_series(sa, None, m, cfg.days), truth)
             e_o = relative_agg_error(estimated_series(so, None, m, cfg.days), truth)
-            verify.append({"measure": m, "agg_err_cgsw": e_a, "agg_err_opt": e_o})
-        out.attrs["verify"] = pd.DataFrame(verify)
-    return out
+            errs.append({"measure": m, "agg_err_cgsw": e_a, "agg_err_opt": e_o})
+        verify = pd.DataFrame(errs)
+    return out, verify

@@ -34,7 +34,7 @@ def two_groupings() -> list[tuple[list[str], list[str]]]:
     return out
 
 
-def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.02) -> pd.DataFrame:
+def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     """Per (grouping, measure): L1 distance to the group weight vector and
     mean aggregation error using that group's compressed sample."""
     vectors = measure_matrix(df, list(ADS_MEASURES))

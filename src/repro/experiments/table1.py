@@ -13,6 +13,8 @@ Shape to reproduce: Opt-GSW ≈ Full ≤ C-GSW < Uniform ≪ PIM.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -34,7 +36,7 @@ PAPER_TABLE1 = pd.DataFrame(
 )
 
 
-def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.05) -> pd.DataFrame:
+def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     """Reproduce Table 1 on the synthetic ads relation.
 
     Tasks are drawn per measure with selectivities spanning the paper's
@@ -58,7 +60,7 @@ def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float = 0.05) -> pd.DataF
         errs: dict[str, list[float]] = {k: [] for k in ("Full", "PIM", "Uniform", "Opt-GSW", "C-GSW")}
         for t_idx, sel in enumerate(sels):
             (where, sql), = tasks_for(
-                ExpConfig(**{**cfg.__dict__, "n_tasks": 1}),
+                dataclasses.replace(cfg, n_tasks=1),
                 selectivity=float(sel), measure=measure,
                 base_seed=m_idx * 100 + t_idx, min_dims=2,
             )

@@ -1,7 +1,8 @@
 """Integration tests: each experiment harness runs end-to-end at tiny
 scale and produces structurally correct, sane output. (Shape assertions
-on the paper's orderings live in benchmarks/, where the scale is large
-enough for them to be stable.)"""
+on the paper's orderings are the gates in benchmarks/bench_experiments.py,
+which run each ``repro.experiments`` registry entry at its committed
+scale, large enough for them to be stable.)"""
 import pkgutil
 
 import numpy as np
@@ -73,7 +74,8 @@ class TestExp5Harness:
     def test_structure_and_bounds(self, ads_df, tiny_cfg):
         from repro.experiments.exp5_space import run_exp5
 
-        t = run_exp5(ads_df, tiny_cfg, verify_rate=None)
+        t, verify = run_exp5(ads_df, tiny_cfg, verify_rate=None)
+        assert verify is None
         assert (t["size_ratio"] > 1.0).all()
         assert (t["size_ratio"] < len(ADS_MEASURES) + 1e-9).all()
         # per-measure optimal sizes sum to the reported total
@@ -106,7 +108,8 @@ class TestCommonHelpers:
         assert "1.235" in s and "x" in s
 
     def test_config_presets(self):
-        # The defaults are the benchmark scale the benchmarks/ harnesses use.
+        # The defaults are the committed scale that the registry's entries
+        # start from.
         assert ExpConfig().sf == 0.1
 
 
@@ -118,14 +121,31 @@ class TestEntryPoint:
         harnesses = {m.name for m in pkgutil.iter_modules(pkg.__path__)} - {"common", "__main__"}
         assert set(EXPERIMENTS) == harnesses
 
+    def test_gates_cover_every_experiment(self):
+        import benchmarks.bench_experiments as bench
+        from repro.experiments.__main__ import EXPERIMENTS
+
+        assert set(bench.GATES) == set(EXPERIMENTS)
+
     def test_main_writes_table(self, spark, monkeypatch, tmp_path):
         from repro.experiments import common
         from repro.experiments.__main__ import main
 
         monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
-        path = main(["exp5_space", "--sf", str(SF), "--days", str(DAYS),
-                     "--train-days", str(DAYS - 8), "--n-tasks", "1"])
-        assert path == str(tmp_path / "exp5_space.txt")
+        tables = main(["exp5_space", "--sf", str(SF), "--days", str(DAYS),
+                       "--train-days", str(DAYS - 8), "--n-tasks", "1"])
+        # Exactly the entry's tables: the sizes, projected to the five
+        # committed columns, and the empirical verification.
+        assert list(tables) == ["exp5_space", "exp5_space_verify"]
+        assert sorted(tmp_path.iterdir()) == [
+            tmp_path / "exp5_space.txt", tmp_path / "exp5_space_verify.txt"
+        ]
         lines = (tmp_path / "exp5_space.txt").read_text().splitlines()
         assert "size_ratio" in lines[0]
+        assert lines[0].split() == [
+            "cgsw_rate", "cgsw_size", "total_opt_size", "size_ratio", "max_agg_rstd"
+        ]
         assert len(lines) == 1 + len(ExpConfig().rates)
+        verify = (tmp_path / "exp5_space_verify.txt").read_text().splitlines()
+        assert verify[0].split() == ["measure", "agg_err_cgsw", "agg_err_opt"]
+        assert len(verify) == 1 + len(ADS_MEASURES)
