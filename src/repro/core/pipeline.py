@@ -13,6 +13,17 @@ online phase processes a forecasting task in two steps:
    model (auto-ARIMA or LSTM), which predicts FORE_PERIOD future days
    with confidence intervals.
 
+Every pass that draws no random numbers — the full source's exact
+series, the Δ histogram, the PIM cubes and the row count — reads
+``FlashP.scan``: one copy of the relation, made once by
+``per_core(df).localCheckpoint()``, with one partition per core, rows
+held deserialized and no lineage, so no task ships the ingest's Arrow
+batches. Those passes give the same answer on any partitioning: their
+sums add integer measures as doubles, exact below 2^53, and the Δ
+histogram is sorted before use. The draws read the caller's frame,
+because ``rand(seed)`` is seeded per input partition: reading the copy
+would change every sample and tie it to the core count.
+
 Per-phase wall-clock timings are recorded — Exp-II's response-time
 breakdown is read straight from ``ForecastOutcome.timings``.
 """
@@ -64,6 +75,8 @@ class FlashP:
     def __init__(self, df: DataFrame, *, days: int):
         self.df = df
         self.days = days
+        # What every rand-free pass reads (see the module docstring).
+        self.scan = per_core(df).localCheckpoint()
         self._samples: dict[str, pd.DataFrame] = {}
         self._pim: PIM | None = None
 
@@ -89,7 +102,7 @@ class FlashP:
             w, measures = optimal_weight(weights), [weights]
         else:
             w, measures = arithmetic_weight(list(weights)), list(weights)
-        delta = delta_for_rate(self.df, w, rate)
+        delta = delta_for_rate(self.scan, w, rate)
         return self._cache(name, gsw_sample(self.df, w, delta, measures=measures, seed=seed))
 
     def add_uniform_sample(
@@ -106,7 +119,7 @@ class FlashP:
     @cached_property
     def _rows_per_day(self) -> float:
         """|T| / days, counted once on first use (only priority samples need it)."""
-        return per_core(self.df).count() / self.days
+        return self.scan.count() / self.days
 
     def _cache(self, name: str, sample: DataFrame) -> pd.DataFrame:
         """Collect a drawn sample into the store under ``name``, keeping only
@@ -120,7 +133,7 @@ class FlashP:
 
     def build_pim(self) -> PIM:
         """Precompute the PIM baseline's per-day marginal cubes."""
-        self._pim = PIM(self.df, ADS_MEASURES, days=self.days)
+        self._pim = PIM(self.scan, ADS_MEASURES, days=self.days)
         return self._pim
 
     def sample(self, name: str) -> DataFrame:
@@ -133,7 +146,7 @@ class FlashP:
     ) -> np.ndarray:
         where = rewrite_where(task)
         if source == "full":
-            series = estimators.exact_series(self.df, where, task.measure, self.days)
+            series = estimators.exact_series(self.scan, where, task.measure, self.days)
         elif source == "pim":
             if self._pim is None:
                 raise RuntimeError("call build_pim() before using source='pim'")

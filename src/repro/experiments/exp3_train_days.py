@@ -42,7 +42,7 @@ def run_exp3(
                         f"USING ({t_start}, {t_end}) "
                         f"OPTION (MODEL='{model}', FORE_PERIOD={cfg.horizon})"
                     )
-                    truth = future_truth(df, where, "impression", cfg)
+                    truth = future_truth(fp.scan, where, "impression", cfg)
                     o = fp.run(
                         sql, source=f"opt@{rate:g}",
                         arima_kwargs=cfg.arima_kwargs, lstm_epochs=200, seed=i,

@@ -50,7 +50,7 @@ def run_exp4(df: DataFrame, cfg: ExpConfig, *, measure: str, model: str) -> pd.D
     for sel in cfg.selectivities:
         tasks = tasks_for(cfg, selectivity=sel, measure=measure, base_seed=int(sel * 1e4))
         truths = [
-            exact_series(df, where, measure, cfg.days) for where, _ in tasks
+            exact_series(fp.scan, where, measure, cfg.days) for where, _ in tasks
         ]
         for sampler in SAMPLERS:
             for rate in cfg.rates:

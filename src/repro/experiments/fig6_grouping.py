@@ -39,13 +39,13 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     mean aggregation error using that group's compressed sample."""
     vectors = measure_matrix(df, list(ADS_MEASURES))
 
+    fp = FlashP(df, days=cfg.days)
     wheres = [random_constraint(s, seed=600 + i)[0]
               for i, s in enumerate(np.geomspace(0.005, 0.10, cfg.n_tasks))]
     truths = {
-        m: [exact_series(df, w, m, cfg.days) for w in wheres] for m in ADS_MEASURES
+        m: [exact_series(fp.scan, w, m, cfg.days) for w in wheres] for m in ADS_MEASURES
     }
 
-    fp = FlashP(df, days=cfg.days)
     rows = []
     for g_idx, (g1, g2) in enumerate(two_groupings()):
         for group in (g1, g2):

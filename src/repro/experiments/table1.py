@@ -64,7 +64,7 @@ def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
                 selectivity=float(sel), measure=measure,
                 base_seed=m_idx * 100 + t_idx, min_dims=2,
             )
-            truth = future_truth(df, where, measure, cfg)
+            truth = future_truth(fp.scan, where, measure, cfg)
             for label, source in (
                 ("Full", "full"),
                 ("PIM", "pim"),

@@ -45,5 +45,11 @@ def per_core(df: DataFrame) -> DataFrame:
     shuffle block per task and reduce partition. The coalesce adds no
     shuffle and keeps each input partition whole, so a ``rand(seed)``
     below it draws the same values as without it.
+
+    ``FlashP`` also stores one copy of the table through it, cut from its
+    lineage (``FlashP.scan``), and every pass that draws no random numbers
+    reads that copy. The draws read the caller's frame instead: the copy
+    has other input partitions, so a ``rand(seed)`` over it would draw
+    other values.
     """
     return df.coalesce(df.sparkSession.sparkContext.defaultParallelism)

@@ -1,12 +1,15 @@
 """Every Spark pass over the table runs one map task per core
 (``sampling.base.per_core``), and the coalesce that does it leaves every
-sample's draw unchanged."""
+sample's draw unchanged. FlashP's rand-free passes read its per-core copy
+of the relation, ``FlashP.scan``, which answers them bit for bit as the
+caller's frame does and holds no lineage back to the ingest."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.pim import PIM
+from repro.core import estimators
 from repro.core.estimators import exact_series
 from repro.core.gsw import (
     arithmetic_weight,
@@ -21,11 +24,16 @@ from repro.sampling.priority import priority_sample
 from repro.synth_data import ADS_DIMS, ADS_MEASURES
 from tests.conftest import DAYS, WIDE_PARTITIONS
 
+ARIMA_FAST = {"max_p": 1, "max_q": 1, "max_d": 1}
+
 SCANS = {
     "exact_series": lambda df: exact_series(df, "gender IN (1)", "click", DAYS),
     "delta_for_rate": lambda df: delta_for_rate(df, optimal_weight("impression"), 0.1),
     "pim": lambda df: PIM(df, list(ADS_MEASURES), days=DAYS),
     "add_uniform_sample": lambda df: FlashP(df, days=DAYS).add_uniform_sample("u", rate=0.1),
+    "flashp_full": lambda df: FlashP(df, days=DAYS).run(
+        "FORECAST SUM(click) FROM ads WHERE gender IN (1) USING (0, 21)",
+        source="full", arima_kwargs=ARIMA_FAST),
 }
 
 
@@ -39,10 +47,14 @@ def test_scan_runs_one_task_per_core(spark, ads_wide_df, name):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     tracker = sc.statusTracker()
-    stages = [s for j in tracker.getJobIdsForGroup(group) for s in tracker.getJobInfo(j).stageIds]
+    jobs = tracker.getJobIdsForGroup(group)
+    assert jobs
     # A job's parent stages get lower ids than the stages that read them,
-    # so the group's first stage is the one that scans the table.
-    assert tracker.getStageInfo(min(stages)).numTasks <= sc.defaultParallelism
+    # so each job's first stage is the one that scans its input: FlashP's
+    # copy of the table as well as the table itself.
+    for j in jobs:
+        first = min(tracker.getJobInfo(j).stageIds)
+        assert tracker.getStageInfo(first).numTasks <= sc.defaultParallelism
 
 
 def _sorted(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -103,3 +115,52 @@ class TestSamplesUnchanged:
         got = priority_sample(ads_wide_df, k, measure=measure, seed=self.SEED)
         got = got.select(*cols).toPandas()
         assert _sorted(got).equals(_sorted(pd.concat(want)[cols]))
+
+
+class TestScanCopy:
+    """FlashP's rand-free passes read ``FlashP.scan``, one partition per core
+    where the caller's frame has many, and answer exactly as the same passes
+    over the caller's frame: the sums add integer measures as doubles, which
+    is exact in any order, and the weight histogram is sorted before use."""
+
+    @pytest.fixture(scope="class")
+    def fp(self, ads_wide_df):
+        fp = FlashP(ads_wide_df, days=DAYS)
+        assert fp.scan.rdd.getNumPartitions() < ads_wide_df.rdd.getNumPartitions()
+        return fp
+
+    @pytest.mark.parametrize("measure", ADS_MEASURES)
+    def test_full_source_series(self, fp, ads_wide_df, measure):
+        where = "age_group IN (0, 2, 5) AND city_tier IN (1, 3)"
+        o = fp.run(f"FORECAST SUM({measure}) FROM ads WHERE {where} USING (0, 21)",
+                   source="full", arima_kwargs=ARIMA_FAST)
+        assert np.array_equal(o.series, exact_series(ads_wide_df, where, measure, DAYS)[:22])
+
+    def test_pim_cubes(self, fp, ads_wide_df):
+        got, want = fp.build_pim(), PIM(ads_wide_df, list(ADS_MEASURES), days=DAYS)
+        for m in ADS_MEASURES:
+            assert np.array_equal(got.totals[m], want.totals[m])
+            for d in ADS_DIMS:
+                assert np.array_equal(got.marginals[m][d], want.marginals[m][d])
+
+    @pytest.mark.parametrize("weights", ["click", list(ADS_MEASURES)], ids=["optimal", "arithmetic"])
+    def test_delta(self, fp, ads_wide_df, weights):
+        w = optimal_weight(weights) if isinstance(weights, str) else arithmetic_weight(weights)
+        assert delta_for_rate(fp.scan, w, 0.05) == delta_for_rate(ads_wide_df, w, 0.05)
+
+    def test_full_source_scan_has_no_ingest_lineage(self, ads_df, monkeypatch):
+        """``ads_df`` is cached, but its plan still holds the ingest's Arrow
+        batches in a ``ParallelCollectionRDD`` that every task would ship;
+        the frame the full source scans holds none."""
+        scanned = []
+
+        def exact(df, *args):
+            scanned.append(df)
+            return exact_series(df, *args)
+
+        monkeypatch.setattr(estimators, "exact_series", exact)
+        assert b"ParallelCollectionRDD" in ads_df.rdd.toDebugString()
+        FlashP(ads_df, days=DAYS).run(
+            "FORECAST SUM(click) FROM ads USING (0, 21)", source="full", arima_kwargs=ARIMA_FAST)
+        assert len(scanned) == 1
+        assert b"ParallelCollectionRDD" not in scanned[0].rdd.toDebugString()

@@ -38,7 +38,7 @@ class TestSources:
     def test_full_source_matches_exact_series(self, flashp, ads_df):
         o = flashp.run(TASK, source="full", arima_kwargs=ARIMA_FAST)
         truth = exact_series(ads_df, "gender IN (1)", "impression", DAYS)
-        assert np.allclose(o.series, truth[: TRAIN_END + 1])
+        assert np.array_equal(o.series, truth[: TRAIN_END + 1])
 
     @pytest.mark.parametrize("src", ["opt_imp", "agsw", "ggsw", "unif", "prio_imp"])
     def test_sampled_sources_track_truth(self, flashp, ads_df, src):
