@@ -136,6 +136,12 @@ class FlashP:
         self._pim = PIM(self.scan, ADS_MEASURES, days=self.days)
         return self._pim
 
+    def close(self) -> None:
+        """Release ``scan``'s blocks; nothing may read ``scan`` afterwards. The
+        blocks belong to the RDD under the copy's plan, which
+        ``DataFrame.unpersist`` does not reach."""
+        self.scan._jdf.queryExecution().logical().rdd().unpersist(True)
+
     def sample(self, name: str) -> DataFrame:
         """The stored sample ``name`` as a Spark DataFrame, built on demand."""
         return self.df.sparkSession.createDataFrame(self._samples[name])

@@ -11,6 +11,7 @@ roughly the sampling rate.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -42,35 +43,35 @@ def run_exp2(df: DataFrame, cfg: ExpConfig, *, repeats: int) -> pd.DataFrame:
     sandbox: stray GC pauses / noisy-neighbor CPU inject multi-second
     outliers into individual Spark jobs.)
     """
-    fp = FlashP(df, days=cfg.days)
-    for rate in cfg.rates:
-        fp.add_gsw_sample(f"opt@{rate:g}", rate=rate, weights="impression", seed=21)
+    with closing(FlashP(df, days=cfg.days)) as fp:
+        for rate in cfg.rates:
+            fp.add_gsw_sample(f"opt@{rate:g}", rate=rate, weights="impression", seed=21)
 
-    (where, sql), = tasks_for(
-        dataclasses.replace(cfg, n_tasks=1),
-        selectivity=0.05, measure="impression", base_seed=42,
-    )
-    rows = []
-    sources = ["full"] + [f"opt@{rate:g}" for rate in cfg.rates]
-    for source in sources:
-        aggs, fits = [], []
-        # Warm-up (untimed): first touch of a cached source pays JIT /
-        # codegen / cache-locality costs that a served system amortizes.
-        fp.run(sql, source=source, arima_kwargs=cfg.arima_kwargs)
-        for r in range(repeats):
-            o = fp.run(sql, source=source, arima_kwargs=cfg.arima_kwargs)
-            aggs.append(o.timings["aggregate_s"] * 1e3)
-            fits.append((o.timings["fit_s"] + o.timings["forecast_s"]) * 1e3)
-        lstm_o = fp.run(
-            sql.replace("'arima'", "'lstm'"), source=source, lstm_epochs=300
+        (where, sql), = tasks_for(
+            dataclasses.replace(cfg, n_tasks=1),
+            selectivity=0.05, measure="impression", base_seed=42,
         )
-        rows.append(
-            {
-                "source": source,
-                "agg_ms": float(min(aggs)),
-                "arima_ms": float(min(fits)),
-                "lstm_ms": (lstm_o.timings["fit_s"] + lstm_o.timings["forecast_s"]) * 1e3,
-                "total_arima_ms": float(min(aggs) + min(fits)),
-            }
-        )
+        rows = []
+        sources = ["full"] + [f"opt@{rate:g}" for rate in cfg.rates]
+        for source in sources:
+            aggs, fits = [], []
+            # Warm-up (untimed): first touch of a cached source pays JIT /
+            # codegen / cache-locality costs that a served system amortizes.
+            fp.run(sql, source=source, arima_kwargs=cfg.arima_kwargs)
+            for r in range(repeats):
+                o = fp.run(sql, source=source, arima_kwargs=cfg.arima_kwargs)
+                aggs.append(o.timings["aggregate_s"] * 1e3)
+                fits.append((o.timings["fit_s"] + o.timings["forecast_s"]) * 1e3)
+            lstm_o = fp.run(
+                sql.replace("'arima'", "'lstm'"), source=source, lstm_epochs=300
+            )
+            rows.append(
+                {
+                    "source": source,
+                    "agg_ms": float(min(aggs)),
+                    "arima_ms": float(min(fits)),
+                    "lstm_ms": (lstm_o.timings["fit_s"] + lstm_o.timings["forecast_s"]) * 1e3,
+                    "total_arima_ms": float(min(aggs) + min(fits)),
+                }
+            )
     return pd.DataFrame(rows)

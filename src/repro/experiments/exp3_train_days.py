@@ -6,6 +6,8 @@ Optimal GSW, rates swept).
 """
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -24,37 +26,37 @@ def run_exp3(
     models: tuple[str, ...],
 ) -> pd.DataFrame:
     """Sweep the training-window length at fixed selectivity 5%."""
-    fp = FlashP(df, days=cfg.days)
-    for rate in cfg.rates:
-        fp.add_gsw_sample(f"opt@{rate:g}", rate=rate, weights="impression", seed=31)
-
-    rows = []
-    for model in models:
+    with closing(FlashP(df, days=cfg.days)) as fp:
         for rate in cfg.rates:
-            for n_days in train_days_sweep:
-                errs = []
-                for i in range(cfg.n_tasks):
-                    where, _ = random_constraint(0.05, seed=300 + i)
-                    t_end = cfg.train_days - 1
-                    t_start = t_end - n_days + 1
-                    sql = (
-                        f"FORECAST SUM(impression) FROM ads WHERE {where} "
-                        f"USING ({t_start}, {t_end}) "
-                        f"OPTION (MODEL='{model}', FORE_PERIOD={cfg.horizon})"
+            fp.add_gsw_sample(f"opt@{rate:g}", rate=rate, weights="impression", seed=31)
+
+        rows = []
+        for model in models:
+            for rate in cfg.rates:
+                for n_days in train_days_sweep:
+                    errs = []
+                    for i in range(cfg.n_tasks):
+                        where, _ = random_constraint(0.05, seed=300 + i)
+                        t_end = cfg.train_days - 1
+                        t_start = t_end - n_days + 1
+                        sql = (
+                            f"FORECAST SUM(impression) FROM ads WHERE {where} "
+                            f"USING ({t_start}, {t_end}) "
+                            f"OPTION (MODEL='{model}', FORE_PERIOD={cfg.horizon})"
+                        )
+                        truth = future_truth(fp.scan, where, "impression", cfg)
+                        o = fp.run(
+                            sql, source=f"opt@{rate:g}",
+                            arima_kwargs=cfg.arima_kwargs, lstm_epochs=200, seed=i,
+                        )
+                        errs.append(relative_forecast_error(o.point, truth))
+                    rows.append(
+                        {
+                            "model": model,
+                            "rate": rate,
+                            "train_days": n_days,
+                            "fc_err": float(np.mean(errs)),
+                            "fc_err_std": float(np.std(errs)),
+                        }
                     )
-                    truth = future_truth(fp.scan, where, "impression", cfg)
-                    o = fp.run(
-                        sql, source=f"opt@{rate:g}",
-                        arima_kwargs=cfg.arima_kwargs, lstm_epochs=200, seed=i,
-                    )
-                    errs.append(relative_forecast_error(o.point, truth))
-                rows.append(
-                    {
-                        "model": model,
-                        "rate": rate,
-                        "train_days": n_days,
-                        "fc_err": float(np.mean(errs)),
-                        "fc_err_std": float(np.std(errs)),
-                    }
-                )
     return pd.DataFrame(rows)

@@ -8,6 +8,8 @@ widths follow the same ordering; LSTM beats ARIMA on forecast error.
 """
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -43,41 +45,41 @@ def build_samplers(fp: FlashP, cfg: ExpConfig, measure: str) -> dict[tuple[str, 
 
 def run_exp4(df: DataFrame, cfg: ExpConfig, *, measure: str, model: str) -> pd.DataFrame:
     """The full sampler × rate × selectivity sweep for one measure."""
-    fp = FlashP(df, days=cfg.days)
-    sources = build_samplers(fp, cfg, measure)
+    with closing(FlashP(df, days=cfg.days)) as fp:
+        sources = build_samplers(fp, cfg, measure)
 
-    rows = []
-    for sel in cfg.selectivities:
-        tasks = tasks_for(cfg, selectivity=sel, measure=measure, base_seed=int(sel * 1e4))
-        truths = [
-            exact_series(fp.scan, where, measure, cfg.days) for where, _ in tasks
-        ]
-        for sampler in SAMPLERS:
-            for rate in cfg.rates:
-                agg_errs, fc_errs, widths = [], [], []
-                for (where, sql), truth_all in zip(tasks, truths):
-                    truth_train = truth_all[: cfg.train_days]
-                    truth_future = truth_all[cfg.train_days : cfg.train_days + cfg.horizon]
-                    sql_m = sql.replace("'arima'", f"'{model}'")
-                    o = fp.run(
-                        sql_m, source=sources[(sampler, rate)],
-                        arima_kwargs=cfg.arima_kwargs, lstm_epochs=200,
+        rows = []
+        for sel in cfg.selectivities:
+            tasks = tasks_for(cfg, selectivity=sel, measure=measure, base_seed=int(sel * 1e4))
+            truths = [
+                exact_series(fp.scan, where, measure, cfg.days) for where, _ in tasks
+            ]
+            for sampler in SAMPLERS:
+                for rate in cfg.rates:
+                    agg_errs, fc_errs, widths = [], [], []
+                    for (where, sql), truth_all in zip(tasks, truths):
+                        truth_train = truth_all[: cfg.train_days]
+                        truth_future = truth_all[cfg.train_days : cfg.train_days + cfg.horizon]
+                        sql_m = sql.replace("'arima'", f"'{model}'")
+                        o = fp.run(
+                            sql_m, source=sources[(sampler, rate)],
+                            arima_kwargs=cfg.arima_kwargs, lstm_epochs=200,
+                        )
+                        agg_errs.append(relative_agg_error(o.series, truth_train))
+                        fc_errs.append(relative_forecast_error(o.point, truth_future))
+                        widths.append(
+                            relative_interval_width(o.lower, o.upper, truth_future)
+                        )
+                    rows.append(
+                        {
+                            "measure": measure,
+                            "model": model,
+                            "selectivity": sel,
+                            "sampler": sampler,
+                            "rate": rate,
+                            "agg_err": float(np.mean(agg_errs)),
+                            "fc_err": float(np.mean(fc_errs)),
+                            "interval_width": float(np.mean(widths)),
+                        }
                     )
-                    agg_errs.append(relative_agg_error(o.series, truth_train))
-                    fc_errs.append(relative_forecast_error(o.point, truth_future))
-                    widths.append(
-                        relative_interval_width(o.lower, o.upper, truth_future)
-                    )
-                rows.append(
-                    {
-                        "measure": measure,
-                        "model": model,
-                        "selectivity": sel,
-                        "sampler": sampler,
-                        "rate": rate,
-                        "agg_err": float(np.mean(agg_errs)),
-                        "fc_err": float(np.mean(fc_errs)),
-                        "interval_width": float(np.mean(widths)),
-                    }
-                )
     return pd.DataFrame(rows)

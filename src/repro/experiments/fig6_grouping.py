@@ -9,6 +9,7 @@ distance have similar trends.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from itertools import combinations
 
 import numpy as np
@@ -39,35 +40,35 @@ def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     mean aggregation error using that group's compressed sample."""
     vectors = measure_matrix(df, list(ADS_MEASURES))
 
-    fp = FlashP(df, days=cfg.days)
-    wheres = [random_constraint(s, seed=600 + i)[0]
-              for i, s in enumerate(np.geomspace(0.005, 0.10, cfg.n_tasks))]
-    truths = {
-        m: [exact_series(fp.scan, w, m, cfg.days) for w in wheres] for m in ADS_MEASURES
-    }
+    with closing(FlashP(df, days=cfg.days)) as fp:
+        wheres = [random_constraint(s, seed=600 + i)[0]
+                  for i, s in enumerate(np.geomspace(0.005, 0.10, cfg.n_tasks))]
+        truths = {
+            m: [exact_series(fp.scan, w, m, cfg.days) for w in wheres] for m in ADS_MEASURES
+        }
 
-    rows = []
-    for g_idx, (g1, g2) in enumerate(two_groupings()):
-        for group in (g1, g2):
-            name = "+".join(group)
-            sample = fp.add_gsw_sample(name, rate=rate, weights=group, seed=61)
-            w_vec = np.mean([vectors[m] for m in group], axis=0)
-            for m in group:
-                l1 = normalized_l1(vectors[m], w_vec)
-                errs = [
-                    relative_agg_error(
-                        estimated_series(sample, w, m, cfg.days)[: cfg.train_days],
-                        truths[m][i][: cfg.train_days],
+        rows = []
+        for g_idx, (g1, g2) in enumerate(two_groupings()):
+            for group in (g1, g2):
+                name = "+".join(group)
+                sample = fp.add_gsw_sample(name, rate=rate, weights=group, seed=61)
+                w_vec = np.mean([vectors[m] for m in group], axis=0)
+                for m in group:
+                    l1 = normalized_l1(vectors[m], w_vec)
+                    errs = [
+                        relative_agg_error(
+                            estimated_series(sample, w, m, cfg.days)[: cfg.train_days],
+                            truths[m][i][: cfg.train_days],
+                        )
+                        for i, w in enumerate(wheres)
+                    ]
+                    rows.append(
+                        {
+                            "grouping": g_idx + 1,
+                            "group": name,
+                            "measure": m,
+                            "l1_distance": l1,
+                            "agg_err": float(np.mean(errs)),
+                        }
                     )
-                    for i, w in enumerate(wheres)
-                ]
-                rows.append(
-                    {
-                        "grouping": g_idx + 1,
-                        "group": name,
-                        "measure": m,
-                        "l1_distance": l1,
-                        "agg_err": float(np.mean(errs)),
-                    }
-                )
     return pd.DataFrame(rows)

@@ -14,6 +14,7 @@ Shape to reproduce: Opt-GSW ≈ Full ≤ C-GSW < Uniform ≪ PIM.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 
 import numpy as np
 import pandas as pd
@@ -47,34 +48,34 @@ def run_table1(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     constraints are degenerate for the PIM baseline (its marginal cubes
     answer them exactly).
     """
-    fp = FlashP(df, days=cfg.days)
-    fp.add_uniform_sample("uniform", rate=rate, seed=11)
-    fp.add_gsw_sample("cgsw", rate=rate, weights=list(ADS_MEASURES), seed=12)
-    for m in ADS_MEASURES:
-        fp.add_gsw_sample(f"opt_{m}", rate=rate, weights=m, seed=13)
-    fp.build_pim()
+    with closing(FlashP(df, days=cfg.days)) as fp:
+        fp.add_uniform_sample("uniform", rate=rate, seed=11)
+        fp.add_gsw_sample("cgsw", rate=rate, weights=list(ADS_MEASURES), seed=12)
+        for m in ADS_MEASURES:
+            fp.add_gsw_sample(f"opt_{m}", rate=rate, weights=m, seed=13)
+        fp.build_pim()
 
-    sels = np.geomspace(0.005, 0.10, cfg.n_tasks)
-    rows = []
-    for m_idx, measure in enumerate(ADS_MEASURES):
-        errs: dict[str, list[float]] = {k: [] for k in ("Full", "PIM", "Uniform", "Opt-GSW", "C-GSW")}
-        for t_idx, sel in enumerate(sels):
-            (where, sql), = tasks_for(
-                dataclasses.replace(cfg, n_tasks=1),
-                selectivity=float(sel), measure=measure,
-                base_seed=m_idx * 100 + t_idx, min_dims=2,
+        sels = np.geomspace(0.005, 0.10, cfg.n_tasks)
+        rows = []
+        for m_idx, measure in enumerate(ADS_MEASURES):
+            errs: dict[str, list[float]] = {k: [] for k in ("Full", "PIM", "Uniform", "Opt-GSW", "C-GSW")}
+            for t_idx, sel in enumerate(sels):
+                (where, sql), = tasks_for(
+                    dataclasses.replace(cfg, n_tasks=1),
+                    selectivity=float(sel), measure=measure,
+                    base_seed=m_idx * 100 + t_idx, min_dims=2,
+                )
+                truth = future_truth(fp.scan, where, measure, cfg)
+                for label, source in (
+                    ("Full", "full"),
+                    ("PIM", "pim"),
+                    ("Uniform", "uniform"),
+                    ("Opt-GSW", f"opt_{measure}"),
+                    ("C-GSW", "cgsw"),
+                ):
+                    o = fp.run(sql, source=source, arima_kwargs=cfg.arima_kwargs)
+                    errs[label].append(relative_forecast_error(o.point, truth))
+            rows.append(
+                {"measure": measure, **{k: float(np.mean(v)) for k, v in errs.items()}}
             )
-            truth = future_truth(fp.scan, where, measure, cfg)
-            for label, source in (
-                ("Full", "full"),
-                ("PIM", "pim"),
-                ("Uniform", "uniform"),
-                ("Opt-GSW", f"opt_{measure}"),
-                ("C-GSW", "cgsw"),
-            ):
-                o = fp.run(sql, source=source, arima_kwargs=cfg.arima_kwargs)
-                errs[label].append(relative_forecast_error(o.point, truth))
-        rows.append(
-            {"measure": measure, **{k: float(np.mean(v)) for k, v in errs.items()}}
-        )
     return pd.DataFrame(rows)

@@ -1,68 +1,106 @@
-"""Tests for the numpy LSTM forecaster, including a numerical gradient
-check of the hand-written BPTT against finite differences."""
+"""Tests for the numpy LSTM forecaster: the production BPTT gradient
+against central finite differences, and the gate-major kernel against
+forecasts recorded from the row-major kernel it replaced."""
 import numpy as np
 import pytest
 
-from repro.forecast.lstm import LSTMForecaster
+from repro.forecast.lstm import LSTMForecaster, _sigmoid_
 from repro.forecast.metrics import relative_forecast_error
+
+BLOCKS = ("Wx", "Wh", "b", "Wd", "bd")
 
 
 def loss_of(model: LSTMForecaster, X: np.ndarray, y: np.ndarray) -> float:
-    pred, _, _ = model._forward(X)
+    pred = model._forward(model._work(X))
     return float(np.mean((pred - y) ** 2) / 2.0)
 
 
 class TestGradients:
     def test_bptt_matches_finite_differences(self):
-        """The analytic gradients must match central finite differences."""
-        m = LSTMForecaster(window=4, hidden=3, seed=0)
-        g = np.random.default_rng(1)
-        X = g.normal(0, 1, (5, 4))
-        y = g.normal(0, 1, 5)
-
-        # Analytic gradients (replicating one fit() backward pass).
-        pred, h_last, caches = m._forward(X)
-        N = len(y)
-        err = pred - y
-        gWd = h_last.T @ err / N
-        dh = np.outer(err, m.Wd) / N
-        dc = np.zeros_like(dh)
-        gWx = np.zeros_like(m.Wx)
-        gWh = np.zeros_like(m.Wh)
-        gb = np.zeros_like(m.b)
-        H = m.hidden
-        for t in range(m.window - 1, -1, -1):
-            x_t, h_prev, c_prev, i, f, o, gg, c_new, tanh_c = caches[t]
-            do = dh * tanh_c
-            dc = dc + dh * o * (1 - tanh_c**2)
-            di, dg, df = dc * gg, dc * i, dc * c_prev
-            dzi = di * i * (1 - i)
-            dzf = df * f * (1 - f)
-            dzo = do * o * (1 - o)
-            dzg = dg * (1 - gg**2)
-            dz = np.concatenate([dzi, dzf, dzo, dzg], axis=1)
-            gWx += dz.T @ x_t
-            gWh += dz.T @ h_prev
-            gb += dz.sum(axis=0)
-            dh = dz @ m.Wh
-            dc = dc * f
-
+        """``_grads``, the gradient ``fit`` steps on, must match central finite
+        differences in every entry of every parameter block, also at N = 1."""
         eps = 1e-6
-        for name, param, grad in (
-            ("Wx", m.Wx, gWx), ("Wh", m.Wh, gWh), ("b", m.b, gb), ("Wd", m.Wd, gWd)
-        ):
-            flat_p = param.reshape(-1)
-            flat_g = grad.reshape(-1)
-            idxs = np.linspace(0, flat_p.size - 1, min(8, flat_p.size)).astype(int)
-            for idx in idxs:
-                orig = flat_p[idx]
-                flat_p[idx] = orig + eps
-                lp = loss_of(m, X, y)
-                flat_p[idx] = orig - eps
-                lm = loss_of(m, X, y)
-                flat_p[idx] = orig
-                num = (lp - lm) / (2 * eps)
-                assert num == pytest.approx(flat_g[idx], rel=1e-3, abs=1e-7), name
+        for n in (5, 1):
+            m = LSTMForecaster(window=4, hidden=3, seed=0)
+            g = np.random.default_rng(1)
+            X = g.normal(0, 1, (n, 4))
+            y = g.normal(0, 1, n)
+            # The blocks are views that tile θ, so the same views over a copy
+            # of the flat gradient name each block's analytic entries.
+            assert sum(getattr(m, k).size for k in BLOCKS) == m.theta.size
+            grad_view = LSTMForecaster(window=4, hidden=3)
+            grad_view.theta[:] = m._grads(m._work(X), y)
+            for name in BLOCKS:
+                param, grad = getattr(m, name), getattr(grad_view, name)
+                for idx in np.ndindex(param.shape):
+                    orig = param[idx]
+                    param[idx] = orig + eps
+                    lp = loss_of(m, X, y)
+                    param[idx] = orig - eps
+                    lm = loss_of(m, X, y)
+                    param[idx] = orig
+                    num = (lp - lm) / (2 * eps)
+                    assert num == pytest.approx(grad[idx], rel=1e-4, abs=1e-8), (n, name, idx)
+
+
+def reference_series(k: int) -> np.ndarray:
+    """Three fixed 150-day series: weekly, trend, random walk."""
+    g = np.random.default_rng(100 + k)
+    t = np.arange(150)
+    if k == 0:
+        return 100 + 30 * np.sin(2 * np.pi * t / 7) + g.normal(0, 2, 150)
+    if k == 1:
+        return 5000 + 12 * t + g.normal(0, 80, 150)
+    return 1e4 + np.cumsum(g.normal(0, 150, 150))
+
+
+# Recorded from the row-major kernel that preceded the gate-major one
+# (300 epochs, LSTMForecaster(seed=k) on reference_series(k), 7-day forecast).
+REFERENCE = {
+    0: (0.0994549812372478,
+        [111.9983522, 85.90253246, 70.94964307, 77.94108192, 100.6691631, 124.2210022,
+         129.1722183]),
+    1: (0.1763728250117962,
+        [6760.169827, 6770.323147, 6773.312297, 6777.71981, 6782.964352, 6775.259866,
+         6775.554175]),
+    2: (0.19573896307211947,
+        [9196.052168, 9133.12128, 9109.967343, 9088.568232, 9070.344096, 9054.984084,
+         9042.088763]),
+}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("k", sorted(REFERENCE))
+    def test_matches_row_major_reference(self, k):
+        resid_std, point = REFERENCE[k]
+        m = LSTMForecaster(epochs=300, seed=k).fit(reference_series(k))
+        np.testing.assert_allclose(m._resid_std, resid_std, rtol=1e-3)
+        np.testing.assert_allclose(m.forecast(7)[0], point, rtol=1e-3)
+
+    def test_instances_share_no_buffers(self):
+        """Fitting A, then B, then A again gives A's result bit for bit, and
+        B's fit leaves the first A's forecast untouched."""
+        a1 = LSTMForecaster(epochs=40, seed=1).fit(reference_series(0))
+        before = a1.forecast(5)
+        LSTMForecaster(epochs=40, seed=2, hidden=5).fit(reference_series(2)[:90])
+        a2 = LSTMForecaster(epochs=40, seed=1).fit(reference_series(0))
+        for x, y, z in zip(before, a1.forecast(5), a2.forecast(5)):
+            assert np.array_equal(x, y) and np.array_equal(x, z)
+        assert a1._resid_std == a2._resid_std
+        assert not np.shares_memory(a1.theta, a2.theta)
+
+    def test_clamp_keeps_a_huge_spike_finite(self):
+        """The ±30 clamp: no overflow or invalid value anywhere in fit or
+        forecast on a series with a 1e6σ spike, and ordered finite output."""
+        series = np.random.default_rng(3).normal(500, 10, 150)
+        series[100] += 1e6 * 10
+        with np.errstate(over="raise", invalid="raise"):
+            point, lo, hi = LSTMForecaster(epochs=300, seed=4).fit(series).forecast(7)
+            a = np.array([-1e6, -40.0, 0.0, 40.0, 1e6])
+            _sigmoid_(a)
+        assert np.all(np.isfinite(point)) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+        assert np.all(lo <= point) and np.all(point <= hi)
+        np.testing.assert_allclose(a, 1 / (1 + np.exp([30.0, 30.0, 0.0, -30.0, -30.0])))
 
 
 class TestTraining:
@@ -86,7 +124,7 @@ class TestTraining:
         series = np.arange(50.0) + 7.0
         a = LSTMForecaster(epochs=30, seed=6).fit(series).forecast(3)[0]
         b = LSTMForecaster(epochs=30, seed=6).fit(series).forecast(3)[0]
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_result(self):
         g = np.random.default_rng(7)

@@ -164,3 +164,18 @@ class TestScanCopy:
             "FORECAST SUM(click) FROM ads USING (0, 21)", source="full", arima_kwargs=ARIMA_FAST)
         assert len(scanned) == 1
         assert b"ParallelCollectionRDD" not in scanned[0].rdd.toDebugString()
+
+    def test_close_releases_the_copy(self, ads_df):
+        """``close()`` frees the copy's blocks, which ``DataFrame.unpersist``
+        leaves held."""
+        sc = ads_df.sparkSession.sparkContext
+
+        def stored() -> set[int]:
+            return {info.id() for info in sc._jsc.sc().getRDDStorageInfo()}
+
+        fp = FlashP(ads_df, days=DAYS)
+        copy = fp.scan._jdf.queryExecution().logical().rdd().id()
+        fp.scan.unpersist(blocking=True)
+        assert copy in stored()
+        fp.close()
+        assert copy not in stored()
