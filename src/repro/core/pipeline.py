@@ -24,12 +24,28 @@ histogram is sorted before use. The draws read the caller's frame,
 because ``rand(seed)`` is seeded per input partition: reading the copy
 would change every sample and tie it to the core count.
 
+The ARIMA candidates of a task are fitted concurrently, on a pool of
+worker processes that each ``FlashP`` starts in ``__init__`` and stops in
+``close()``: one worker per core (``defaultParallelism``, the core count
+of every ``per_core`` pass). The workers are spawned, not forked: each is
+a fresh interpreter that imports the caller's main module (so a script
+builds its ``FlashP`` under ``if __name__ == "__main__":``) and the
+fitter, and shares neither the driver's memory nor its JVM gateway.
+``__init__`` returns once every worker has imported the fitter, so the
+start-up is paid there; ``run`` hands the pool's ``map`` to
+``auto_arima``, which submits the longest fits first. Every fit is the
+one a serial ``auto_arima`` makes. A worker that dies breaks the pool,
+and the next ARIMA task raises ``BrokenProcessPool``: nothing falls back
+to a serial fit.
+
 Per-phase wall-clock timings are recorded — Exp-II's response-time
 breakdown is read straight from ``ForecastOutcome.timings``.
 """
 from __future__ import annotations
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,7 +64,7 @@ from repro.core.gsw import (
     uniform_sample,
 )
 from repro.core.task import ForecastTask, parse_task, rewrite_where
-from repro.forecast.arima import auto_arima
+from repro.forecast.arima import auto_arima, worker_ready
 from repro.forecast.lstm import LSTMForecaster
 from repro.sampling.base import est_col, per_core
 from repro.sampling.priority import priority_sample
@@ -70,13 +86,31 @@ class ForecastOutcome:
 
 
 class FlashP:
-    """One FlashP instance over one time-series relation."""
+    """One FlashP instance over one time-series relation. It owns worker
+    processes until ``close()``; use it as ``with closing(FlashP(...))``."""
 
     def __init__(self, df: DataFrame, *, days: int):
         self.df = df
         self.days = days
-        # What every rand-free pass reads (see the module docstring).
-        self.scan = per_core(df).localCheckpoint()
+        # The ARIMA fitters (see the module docstring). Each submit spawns a
+        # worker while none is idle, and none is idle before the barrier
+        # lets them go, so the n submits start n workers, which import the
+        # fitter while the JVM builds the copy below.
+        n = df.sparkSession.sparkContext.defaultParallelism
+        ctx = multiprocessing.get_context("spawn")
+        ready = ctx.Barrier(n + 1)
+        self._pool = ProcessPoolExecutor(
+            n, mp_context=ctx, initializer=worker_ready, initargs=(ready,))
+        for _ in range(n):
+            self._pool.submit(int)
+        try:
+            # What every rand-free pass reads (see the module docstring).
+            self.scan = per_core(df).localCheckpoint()
+            ready.wait(timeout=120)
+        except BaseException:
+            ready.abort()  # let the workers out of the barrier, to exit
+            self._pool.shutdown()
+            raise
         self._samples: dict[str, pd.DataFrame] = {}
         self._pim: PIM | None = None
 
@@ -137,9 +171,11 @@ class FlashP:
         return self._pim
 
     def close(self) -> None:
-        """Release ``scan``'s blocks; nothing may read ``scan`` afterwards. The
-        blocks belong to the RDD under the copy's plan, which
-        ``DataFrame.unpersist`` does not reach."""
+        """Stop the fitting workers and wait for them to exit, then release
+        ``scan``'s blocks; nothing may run afterwards. The blocks belong to
+        the RDD under the copy's plan, which ``DataFrame.unpersist`` does
+        not reach."""
+        self._pool.shutdown()
         self.scan._jdf.queryExecution().logical().rdd().unpersist(True)
 
     def sample(self, name: str) -> DataFrame:
@@ -180,7 +216,7 @@ class FlashP:
         h = task.fore_period
         order = None
         if task.model == "arima":
-            model = auto_arima(series, **(arima_kwargs or {}))
+            model = auto_arima(series, map=self._pool.map, **(arima_kwargs or {}))
             order = model.order
             t2 = time.perf_counter()
             point, lower, upper = model.forecast(h, conf=conf)

@@ -8,7 +8,8 @@ ARMA(p,q) by CSS with Levenberg–Marquardt from Hannan–Rissanen starts
 ψ-weights, via d-fold cumulative sums) back to the original scale.
 ``auto_arima`` picks ``d`` by the standard variance-reduction heuristic
 and (p,q) by grid-search on AIC; ``max_iter`` caps each candidate's
-solver iterations.
+solver iterations. Its ``map`` fits the candidates: the builtin in turn,
+``FlashP``'s worker pool (initializer ``worker_ready``) concurrently.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ class ARIMAResult:
     sd: float              # std of the differenced series
     # auto_arima: one "ARIMA(p,d,q): <error>" line per candidate that failed
     failures: list[str] = field(default_factory=list)
+    candidates: list[tuple] = field(default_factory=list)  # ((p,d,q), AIC, nit, converged)
 
     @property
     def order(self) -> tuple[int, int, int]:
@@ -103,6 +105,20 @@ def select_d(x: np.ndarray, *, max_d: int = 2) -> int:
     return d
 
 
+def _fit_candidate(args: tuple) -> ARIMAResult | str:
+    """``fit_arima`` on ``args = (x, p, d, q, max_iter)``, or its failure line."""
+    x, p, d, q, max_iter = args
+    try:
+        return fit_arima(x, p, d, q, max_iter=max_iter)
+    except ValueError as exc:
+        return f"ARIMA({p},{d},{q}): {exc}"
+
+
+def worker_ready(barrier) -> None:
+    """Initializer of a pool worker: unpickling it has imported the fitter."""
+    barrier.wait()
+
+
 def auto_arima(
     x: np.ndarray,
     *,
@@ -110,29 +126,28 @@ def auto_arima(
     max_q: int = 3,
     max_d: int = 2,
     max_iter: int = 1000,
+    map=map,
 ) -> ARIMAResult:
     """Grid-search (p,q) by AIC at the heuristically chosen d.
 
     Stand-in for pmdarima's stepwise search: same model family, same
     selection criterion, exhaustive instead of stepwise. Candidates that
-    cannot be fitted are listed in the result's ``failures``.
+    cannot be fitted are listed in the result's ``failures``, the others
+    in its ``candidates``. ``map`` gets them longest first (an MA part,
+    then descending p + q), so a pool does not start a long fit last; they
+    are compared in grid order, so ties resolve alike however they ran.
     """
     x = np.asarray(x, dtype="float64")
     d = select_d(x, max_d=max_d)
-    best: ARIMAResult | None = None
-    failures: list[str] = []
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            if p == 0 and q == 0 and d == 0:
-                continue  # pure-constant model never forecasts trends
-            try:
-                fit = fit_arima(x, p, d, q, max_iter=max_iter)
-            except ValueError as exc:
-                failures.append(f"ARIMA({p},{d},{q}): {exc}")
-                continue
-            if best is None or fit.aic < best.aic:
-                best = fit
-    if best is None:
+    # (p, d, q) = (0, 0, 0), the pure-constant model, never forecasts trends.
+    grid = [(p, q) for p in range(max_p + 1) for q in range(max_q + 1) if p or q or d]
+    longest = sorted(grid, key=lambda pq: (pq[1] == 0, -sum(pq)))
+    done = dict(zip(longest, map(_fit_candidate, [(x, p, d, q, max_iter) for p, q in longest])))
+    failures = [done[pq] for pq in grid if isinstance(done[pq], str)]
+    fits = [done[pq] for pq in grid if not isinstance(done[pq], str)]
+    if not fits:
         raise ValueError("auto_arima: no candidate model could be fitted: " + "; ".join(failures))
+    best = min(fits, key=lambda f: f.aic)  # the first of equal AICs, as a strict < scan
     best.failures = failures
+    best.candidates = [(f.order, f.aic, f.arma.nit, f.arma.converged) for f in fits]
     return best

@@ -4,6 +4,9 @@ The session-scoped ``spark`` fixture comes from the repo-root
 conftest.py. Here we add session-scoped cached datasets so the many
 Spark tests share one generation + one cache fill.
 """
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -50,3 +53,10 @@ def ads_wide_df(spark, ads_wide_pdf):
     df.count()
     yield df
     df.unpersist()
+
+
+@pytest.fixture(scope="session")
+def fit_pool():
+    """Spawned worker processes, like the ones ``FlashP`` fits ARIMA on."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield pool

@@ -107,12 +107,21 @@ class TestAutoArima:
         p, d, q = fit.order
         assert p <= 1 and q <= 1 and d <= 1
 
-    def test_reports_failed_candidates(self):
+    @pytest.mark.parametrize("pooled", [False, True], ids=["map", "pool"])
+    def test_reports_failed_candidates(self, request, pooled):
         # Six points at d = 0: every candidate with p + q >= 4 is too long to fit.
-        fit = auto_arima(np.array([3.0, 5.0, 4.0, 6.0, 5.0, 7.0]))
+        fit_map = request.getfixturevalue("fit_pool").map if pooled else map
+        fit = auto_arima(np.array([3.0, 5.0, 4.0, 6.0, 5.0, 7.0]), map=fit_map)
         assert len(fit.failures) == 6
         assert all("series too short" in msg for msg in fit.failures)
         assert fit.order == (2, 0, 0)
+
+    def test_candidates_listed_in_grid_order(self):
+        fit = auto_arima(trend_season(120, seed=11), max_p=2, max_q=2)
+        orders = [c[0] for c in fit.candidates]
+        assert orders == [(p, fit.d, q) for p in range(3) for q in range(3) if p or q or fit.d]
+        assert (fit.order, fit.aic) in [(c[0], c[1]) for c in fit.candidates]
+        assert min(c[1] for c in fit.candidates) == fit.aic
 
     def test_no_failures_reported_on_long_series(self):
         assert auto_arima(trend_season(100, seed=12), max_p=1, max_q=1).failures == []

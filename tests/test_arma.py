@@ -245,13 +245,30 @@ def _arima_test_series():
     ]
 
 
+GRIDS = {"bench": {"max_p": 2, "max_q": 2, "max_d": 1}, "default": {}}
+
+
+class TestPoolMatchesSerial:
+    """Fitted on spawned worker processes, as ``FlashP`` fits them, every
+    test series gets the fit the builtin ``map`` gives, bit for bit."""
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("i", range(len(_arima_test_series())))
+    def test_same_fit(self, fit_pool, grid, i):
+        x = _arima_test_series()[i]
+        got, want = auto_arima(x, map=fit_pool.map, **grid), auto_arima(x, **grid)
+        assert (got.order, got.aic) == (want.order, want.aic)
+        assert got.failures == want.failures
+        assert got.candidates == want.candidates
+        for g, w in zip(got.forecast(7), want.forecast(7)):
+            assert np.array_equal(g, w)
+
+
 class TestNotWorseThanNelderMead:
     """On every test series, auto_arima's chosen AIC is at most that of the
     Nelder–Mead-driven reference (``_fit_arma_nelder_mead``)."""
 
-    @pytest.mark.parametrize(
-        "grid", [{"max_p": 2, "max_q": 2, "max_d": 1}, {}], ids=["bench", "default"]
-    )
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("i", range(len(_arima_test_series())))
     def test_chosen_aic(self, monkeypatch, grid, i):
         x = _arima_test_series()[i]

@@ -3,6 +3,8 @@
 sample's draw unchanged. FlashP's rand-free passes read its per-core copy
 of the relation, ``FlashP.scan``, which answers them bit for bit as the
 caller's frame does and holds no lineage back to the ingest."""
+from contextlib import closing
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -26,14 +28,22 @@ from tests.conftest import DAYS, WIDE_PARTITIONS
 
 ARIMA_FAST = {"max_p": 1, "max_q": 1, "max_d": 1}
 
+
+def _with_flashp(df, call):
+    """``call(fp)`` on a new ``FlashP`` over ``df``, closed afterwards."""
+    with closing(FlashP(df, days=DAYS)) as fp:
+        return call(fp)
+
+
 SCANS = {
     "exact_series": lambda df: exact_series(df, "gender IN (1)", "click", DAYS),
     "delta_for_rate": lambda df: delta_for_rate(df, optimal_weight("impression"), 0.1),
     "pim": lambda df: PIM(df, list(ADS_MEASURES), days=DAYS),
-    "add_uniform_sample": lambda df: FlashP(df, days=DAYS).add_uniform_sample("u", rate=0.1),
-    "flashp_full": lambda df: FlashP(df, days=DAYS).run(
+    "add_uniform_sample": lambda df: _with_flashp(
+        df, lambda fp: fp.add_uniform_sample("u", rate=0.1)),
+    "flashp_full": lambda df: _with_flashp(df, lambda fp: fp.run(
         "FORECAST SUM(click) FROM ads WHERE gender IN (1) USING (0, 21)",
-        source="full", arima_kwargs=ARIMA_FAST),
+        source="full", arima_kwargs=ARIMA_FAST)),
 }
 
 
@@ -76,8 +86,8 @@ class TestSamplesUnchanged:
 
     @pytest.mark.parametrize("weights", ["impression", list(ADS_MEASURES)], ids=["optimal", "arithmetic"])
     def test_gsw(self, ads_wide_df, weights):
-        stored = FlashP(ads_wide_df, days=DAYS).add_gsw_sample(
-            "g", rate=self.RATE, weights=weights, seed=self.SEED)
+        stored = _with_flashp(ads_wide_df, lambda fp: fp.add_gsw_sample(
+            "g", rate=self.RATE, weights=weights, seed=self.SEED))
         if isinstance(weights, str):
             w, measures = optimal_weight(weights), [weights]
         else:
@@ -86,15 +96,15 @@ class TestSamplesUnchanged:
         self._check(stored, gsw_sample(ads_wide_df, w, delta, measures=measures, seed=self.SEED))
 
     def test_uniform(self, ads_wide_df):
-        stored = FlashP(ads_wide_df, days=DAYS).add_uniform_sample(
-            "u", rate=self.RATE, seed=self.SEED)
+        stored = _with_flashp(ads_wide_df, lambda fp: fp.add_uniform_sample(
+            "u", rate=self.RATE, seed=self.SEED))
         self._check(stored, uniform_sample(
             ads_wide_df, self.RATE, measures=list(ADS_MEASURES), seed=self.SEED))
 
     @pytest.mark.parametrize("measure", ["impression", "click"])
     def test_priority(self, ads_wide_df, measure):
-        stored = FlashP(ads_wide_df, days=DAYS).add_priority_sample(
-            "p", rate=self.RATE, measure=measure, seed=self.SEED)
+        stored = _with_flashp(ads_wide_df, lambda fp: fp.add_priority_sample(
+            "p", rate=self.RATE, measure=measure, seed=self.SEED))
         k = max(1, round(self.RATE * ads_wide_df.count() / DAYS))
         self._check(stored, priority_sample(ads_wide_df, k, measure=measure, seed=self.SEED))
 
@@ -125,9 +135,9 @@ class TestScanCopy:
 
     @pytest.fixture(scope="class")
     def fp(self, ads_wide_df):
-        fp = FlashP(ads_wide_df, days=DAYS)
-        assert fp.scan.rdd.getNumPartitions() < ads_wide_df.rdd.getNumPartitions()
-        return fp
+        with closing(FlashP(ads_wide_df, days=DAYS)) as fp:
+            assert fp.scan.rdd.getNumPartitions() < ads_wide_df.rdd.getNumPartitions()
+            yield fp
 
     @pytest.mark.parametrize("measure", ADS_MEASURES)
     def test_full_source_series(self, fp, ads_wide_df, measure):
@@ -160,8 +170,8 @@ class TestScanCopy:
 
         monkeypatch.setattr(estimators, "exact_series", exact)
         assert b"ParallelCollectionRDD" in ads_df.rdd.toDebugString()
-        FlashP(ads_df, days=DAYS).run(
-            "FORECAST SUM(click) FROM ads USING (0, 21)", source="full", arima_kwargs=ARIMA_FAST)
+        _with_flashp(ads_df, lambda fp: fp.run(
+            "FORECAST SUM(click) FROM ads USING (0, 21)", source="full", arima_kwargs=ARIMA_FAST))
         assert len(scanned) == 1
         assert b"ParallelCollectionRDD" not in scanned[0].rdd.toDebugString()
 

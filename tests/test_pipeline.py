@@ -1,5 +1,12 @@
 """End-to-end tests for the FlashP pipeline (sample → estimate → fit →
 forecast), matching the two online phases of Section 2.2."""
+import multiprocessing
+import os
+import signal
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -8,8 +15,9 @@ from pyspark.sql import functions as F
 
 from repro.core.estimators import exact_series
 from repro.core.pipeline import FlashP
+from repro.forecast.arima import auto_arima
 from repro.forecast.metrics import relative_forecast_error
-from repro.synth_data import ADS_DIMS, ADS_MEASURES
+from repro.synth_data import ADS_DIMS, ADS_MEASURES, random_constraint
 from tests.conftest import DAYS
 
 TRAIN_END = DAYS - 8  # train on days 0..21, evaluate forecasts on 22..28
@@ -18,14 +26,14 @@ ARIMA_FAST = {"max_p": 1, "max_q": 1, "max_d": 1}
 
 @pytest.fixture(scope="module")
 def flashp(ads_df):
-    fp = FlashP(ads_df, days=DAYS)
-    fp.add_gsw_sample("opt_imp", rate=0.1, weights="impression", seed=1)
-    fp.add_gsw_sample("agsw", rate=0.1, weights=list(ADS_MEASURES), seed=1)
-    fp.add_gsw_sample("ggsw", rate=0.1, weights="geometric:" + ",".join(ADS_MEASURES), seed=1)
-    fp.add_uniform_sample("unif", rate=0.1, seed=1)
-    fp.add_priority_sample("prio_imp", rate=0.1, measure="impression", seed=1)
-    fp.build_pim()
-    return fp
+    with closing(FlashP(ads_df, days=DAYS)) as fp:
+        fp.add_gsw_sample("opt_imp", rate=0.1, weights="impression", seed=1)
+        fp.add_gsw_sample("agsw", rate=0.1, weights=list(ADS_MEASURES), seed=1)
+        fp.add_gsw_sample("ggsw", rate=0.1, weights="geometric:" + ",".join(ADS_MEASURES), seed=1)
+        fp.add_uniform_sample("unif", rate=0.1, seed=1)
+        fp.add_priority_sample("prio_imp", rate=0.1, measure="impression", seed=1)
+        fp.build_pim()
+        yield fp
 
 
 TASK = (
@@ -57,8 +65,7 @@ class TestSources:
             flashp.run(TASK, source="nope", arima_kwargs=ARIMA_FAST)
 
     def test_pim_requires_build(self, ads_df):
-        fp = FlashP(ads_df, days=DAYS)
-        with pytest.raises(RuntimeError):
+        with closing(FlashP(ads_df, days=DAYS)) as fp, pytest.raises(RuntimeError):
             fp.run(TASK, source="pim")
 
 
@@ -137,9 +144,9 @@ class TestZeroDays:
         for r in rows:
             if r["gender"] == 1 and r["t"] in self.ZERO_SUM:
                 r["click"] = 0
-        fp = FlashP(spark.createDataFrame(pd.DataFrame(rows)), days=self.N_DAYS)
-        fp.add_uniform_sample("every_row", rate=1.0)
-        return fp
+        with closing(FlashP(spark.createDataFrame(pd.DataFrame(rows)), days=self.N_DAYS)) as fp:
+            fp.add_uniform_sample("every_row", rate=1.0)
+            yield fp
 
     @pytest.mark.parametrize("source", ["full", "every_row"])
     @pytest.mark.parametrize("t_start", [0, 3])
@@ -165,14 +172,15 @@ class TestSampleManagement:
 
     def test_table_counted_once_for_priority_samples(self, spark, ads_df):
         """|T| is counted on the first priority sample, not on every one."""
-        fp, sc, jobs = FlashP(ads_df, days=DAYS), spark.sparkContext, []
-        for group in ("test-priority-first", "test-priority-second"):
-            sc.setLocalProperty("spark.jobGroup.id", group)
-            try:
-                fp.add_priority_sample(group, rate=0.05, measure="click", seed=2)
-            finally:
-                sc.setLocalProperty("spark.jobGroup.id", None)
-            jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+        sc, jobs = spark.sparkContext, []
+        with closing(FlashP(ads_df, days=DAYS)) as fp:
+            for group in ("test-priority-first", "test-priority-second"):
+                sc.setLocalProperty("spark.jobGroup.id", group)
+                try:
+                    fp.add_priority_sample(group, rate=0.05, measure="click", seed=2)
+                finally:
+                    sc.setLocalProperty("spark.jobGroup.id", None)
+                jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
         assert jobs[1] < jobs[0]
 
     def test_sample_has_calibrated_columns(self, flashp):
@@ -194,13 +202,13 @@ class TestNullMeasure:
     def null_fp(self, ads_df):
         df = ads_df.withColumn("click", F.when(F.rand(5) >= 0.3, F.col("click"))).cache()
         assert 0.2 < df.where("click IS NULL").count() / df.count() < 0.4
-        fp = FlashP(df, days=DAYS)
-        fp.add_gsw_sample("opt", rate=0.1, weights="click", seed=1)
-        fp.add_gsw_sample("arith", rate=0.1, weights=list(ADS_MEASURES), seed=1)
-        fp.add_gsw_sample("geo", rate=0.1, weights="geometric:" + ",".join(ADS_MEASURES), seed=1)
-        fp.add_uniform_sample("unif", rate=0.1, seed=1)
-        fp.add_priority_sample("prio", rate=0.1, measure="click", seed=1)
-        yield fp
+        with closing(FlashP(df, days=DAYS)) as fp:
+            fp.add_gsw_sample("opt", rate=0.1, weights="click", seed=1)
+            fp.add_gsw_sample("arith", rate=0.1, weights=list(ADS_MEASURES), seed=1)
+            fp.add_gsw_sample("geo", rate=0.1, weights="geometric:" + ",".join(ADS_MEASURES), seed=1)
+            fp.add_uniform_sample("unif", rate=0.1, seed=1)
+            fp.add_priority_sample("prio", rate=0.1, measure="click", seed=1)
+            yield fp
         df.unpersist()
 
     @pytest.mark.parametrize("source", SOURCES)
@@ -217,3 +225,43 @@ class TestNullMeasure:
             want[int(t)] = v
         assert not np.isnan(o.series).any()
         np.testing.assert_allclose(o.series, want[: TRAIN_END + 1], rtol=1e-9, atol=0)
+
+
+class TestFittingWorkers:
+    """``FlashP`` fits a task's ARIMA candidates on its own worker processes:
+    the fits are those of a serial ``auto_arima``, a dead worker fails the
+    next task, and ``close()`` leaves no worker behind."""
+
+    BENCH_GRID = {"max_p": 2, "max_q": 2, "max_d": 1}
+
+    @pytest.mark.parametrize("source", ["full", "agsw", "ggsw", "unif"])
+    @pytest.mark.parametrize("i", range(3))
+    def test_outcome_equals_serial_fit(self, flashp, source, i):
+        measure = ADS_MEASURES[i % len(ADS_MEASURES)]
+        where, _ = random_constraint(0.2, seed=100 + i)
+        task = f"FORECAST SUM({measure}) FROM ads WHERE {where} USING (0, {TRAIN_END})"
+        o = flashp.run(task, source=source, arima_kwargs=self.BENCH_GRID)
+        ref = auto_arima(o.series, **self.BENCH_GRID)
+        assert o.model_order == ref.order
+        for got, want in zip((o.point, o.lower, o.upper), ref.forecast(7)):
+            assert np.array_equal(got, want)
+
+    def test_dead_worker_fails_the_next_task(self, ads_df):
+        with closing(FlashP(ads_df, days=DAYS)) as fp, ThreadPoolExecutor(1) as caller:
+            os.kill(fp._pool.submit(os.getpid).result(timeout=60), signal.SIGKILL)
+            task = caller.submit(fp.run, TASK, source="full", arima_kwargs=ARIMA_FAST)
+            with pytest.raises(BrokenProcessPool):
+                task.result(timeout=60)
+
+    def test_close_stops_every_worker(self, ads_df, spark):
+        before = set(multiprocessing.active_children())
+        # ``fp`` stays referenced: a collected pool would stop its workers too.
+        with closing(FlashP(ads_df, days=DAYS)) as fp:
+            workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == spark.sparkContext.defaultParallelism
+        for w in workers:
+            w.join(timeout=30)
+            assert not w.is_alive()
+
+    def test_workers_do_not_import_pyspark(self, flashp):
+        assert not flashp._pool.submit(eval, "'pyspark' in __import__('sys').modules").result()

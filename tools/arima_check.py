@@ -71,34 +71,21 @@ def series_set(data_seed: int = 7) -> list[dict]:
 
 
 def fit_all(series: list[dict]) -> list[dict]:
-    """``auto_arima`` on each series, recording every candidate's convergence."""
-    fit_arma = arima.fit_arma
-    candidates: list = []
-
-    def recorded(*args, **kwargs):
-        res = fit_arma(*args, **kwargs)
-        candidates.append(res)
-        return res
-
-    arima.fit_arma = recorded
-    try:
-        rows = []
-        for s in series:
-            candidates.clear()
-            start = time.perf_counter()
-            fit = arima.auto_arima(s["served"][:TRAIN], **GRID)
-            ms = 1e3 * (time.perf_counter() - start)
-            point, _, _ = fit.forecast(HORIZON)
-            rows.append({
-                "i": s["i"], "measure": s["measure"], "source": s["source"],
-                "where": s["where"], "order": list(fit.order), "aic": fit.aic,
-                "fc_err": relative_forecast_error(point, s["truth"][TRAIN:TRAIN + HORIZON]),
-                "nit": fit.arma.nit, "fit_ms": ms,
-                "not_converged": sum(not c.converged for c in candidates),
-            })
-        return rows
-    finally:
-        arima.fit_arma = fit_arma
+    """``auto_arima`` on each series, with its candidates' convergence."""
+    rows = []
+    for s in series:
+        start = time.perf_counter()
+        fit = arima.auto_arima(s["served"][:TRAIN], **GRID)
+        ms = 1e3 * (time.perf_counter() - start)
+        point, _, _ = fit.forecast(HORIZON)
+        rows.append({
+            "i": s["i"], "measure": s["measure"], "source": s["source"],
+            "where": s["where"], "order": list(fit.order), "aic": fit.aic,
+            "fc_err": relative_forecast_error(point, s["truth"][TRAIN:TRAIN + HORIZON]),
+            "nit": fit.arma.nit, "fit_ms": ms,
+            "not_converged": sum(not converged for *_, converged in fit.candidates),
+        })
+    return rows
 
 
 def summary(rows: list[dict], against: list[dict] | None) -> dict:
