@@ -6,10 +6,9 @@ as the paper notes.
 
 * The exact series scans the full relation on Spark: one Catalyst plan
   ``Filter(C) → Aggregate(t, SUM(m))`` with one map task per core
-  (``sampling.base.per_core``), not one per cached partition. ``FlashP``
-  runs it over ``FlashP.scan``, its lineage-free per-core copy of the
-  relation, so no task ships the ingest's Arrow batches. The full scan is
-  the baseline the samples beat.
+  (``sampling.base.per_core``), not one per cached partition; ``FlashP``
+  runs it over its copy ``FlashP.scan``. The full scan is the baseline the
+  samples beat.
 * The estimated series is a Horvitz–Thompson subset sum of a sample's
   calibrated column ``{m}_est``, served from the sample held in driver
   memory as a columnar frame (the paper's Fig. 2). ``C`` becomes one

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+
+from repro.sampling.base import uniform
 
 
 def normalized_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -28,7 +29,7 @@ def measure_matrix(
     df: DataFrame, measures: list[str], *, rate: float = 1.0, seed: int = 0
 ) -> dict[str, np.ndarray]:
     """Collect (a row-sample of) the measure columns as aligned vectors."""
-    sel = df if rate >= 1.0 else df.where(F.rand(seed) < F.lit(float(rate)))
+    sel = df if rate >= 1.0 else df.where(uniform(seed) < float(rate))
     pdf = sel.select(*measures).toPandas()
     return {m: pdf[m].to_numpy(dtype="float64") for m in measures}
 

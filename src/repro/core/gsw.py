@@ -28,7 +28,7 @@ import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col, measure_col, per_core
+from repro.sampling.base import est_col, measure_col, per_core, uniform
 
 
 def optimal_weight(measure: str) -> Column:
@@ -86,7 +86,7 @@ def gsw_sample(
     Output = input columns + ``_w`` (the row's sampling weight) + ``_p``
     (its uniform draw) + one ``{m}_est`` per requested measure (a null
     measure is read as 0, as in the weights). A row survives iff
-    ``rand(seed) ≤ w/(Δ+w)``.
+    ``uniform(seed) ≤ w/(Δ+w)``.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -94,7 +94,7 @@ def gsw_sample(
         raise ValueError("measures must be non-empty")
     # `_p` is kept on sampled rows: Section 4.1's incremental maintenance
     # (see `increase_delta`) filters on it again without rescanning T.
-    out = df.withColumn("_w", weight).withColumn("_p", F.rand(seed))
+    out = df.withColumn("_w", weight).withColumn("_p", uniform(seed))
     return _keep_and_calibrate(out, delta, measures)
 
 
@@ -111,7 +111,7 @@ def uniform_sample(
     """
     if not (0 < rate <= 1):
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    out = df.withColumn("_w", F.lit(1.0)).withColumn("_p", F.rand(seed))
+    out = df.withColumn("_w", F.lit(1.0)).withColumn("_p", uniform(seed))
     return _keep_and_calibrate(out, (1 - rate) / rate, measures)
 
 

@@ -13,30 +13,25 @@ online phase processes a forecasting task in two steps:
    model (auto-ARIMA or LSTM), which predicts FORE_PERIOD future days
    with confidence intervals.
 
-Every pass that draws no random numbers — the full source's exact
-series, the Δ histogram, the PIM cubes and the row count — reads
-``FlashP.scan``: one copy of the relation, made once by
-``per_core(df).localCheckpoint()``, with one partition per core, rows
-held deserialized and no lineage, so no task ships the ingest's Arrow
-batches. Those passes give the same answer on any partitioning: their
-sums add integer measures as doubles, exact below 2^53, and the Δ
-histogram is sorted before use. The draws read the caller's frame,
-because ``rand(seed)`` is seeded per input partition: reading the copy
-would change every sample and tie it to the core count.
+Every Spark pass (the exact series, the Δ histogram, the draws, the PIM
+cubes, the row count) reads ``FlashP.scan``, the lineage-free per-core
+copy ``per_core(with_row_id(df)).localCheckpoint()``, so no task ships
+the ingest's Arrow batches. A draw hashes the row ids, which come from
+the caller's partitions, with its seed: no sample depends on the cores.
 
 The ARIMA candidates of a task are fitted concurrently, on a pool of
 worker processes that each ``FlashP`` starts in ``__init__`` and stops in
 ``close()``: one worker per core (``defaultParallelism``, the core count
 of every ``per_core`` pass). The workers are spawned, not forked: each is
 a fresh interpreter that imports the caller's main module (so a script
-builds its ``FlashP`` under ``if __name__ == "__main__":``) and the
-fitter, and shares neither the driver's memory nor its JVM gateway.
-``__init__`` returns once every worker has imported the fitter, so the
-start-up is paid there; ``run`` hands the pool's ``map`` to
-``auto_arima``, which submits the longest fits first. Every fit is the
-one a serial ``auto_arima`` makes. A worker that dies breaks the pool,
-and the next ARIMA task raises ``BrokenProcessPool``: nothing falls back
-to a serial fit.
+builds its ``FlashP`` under ``if __name__ == "__main__":``, or
+``__init__`` fails at once, naming it) and the fitter, and shares neither
+the driver's memory nor its JVM gateway. ``__init__`` returns once every
+worker has imported the fitter, so the start-up is paid there; ``run``
+hands the pool's ``map`` to ``auto_arima``, which submits the longest
+fits first. Every fit is the one a serial ``auto_arima`` makes. A worker
+that dies breaks the pool, and the next ARIMA task raises
+``BrokenProcessPool``: nothing falls back to a serial fit.
 
 Per-phase wall-clock timings are recorded — Exp-II's response-time
 breakdown is read straight from ``ForecastOutcome.timings``.
@@ -45,7 +40,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,7 +61,7 @@ from repro.core.gsw import (
 from repro.core.task import ForecastTask, parse_task, rewrite_where
 from repro.forecast.arima import auto_arima, worker_ready
 from repro.forecast.lstm import LSTMForecaster
-from repro.sampling.base import est_col, per_core
+from repro.sampling.base import est_col, per_core, with_row_id
 from repro.sampling.priority import priority_sample
 from repro.synth_data import ADS_DIMS, ADS_MEASURES
 
@@ -90,23 +85,24 @@ class FlashP:
     processes until ``close()``; use it as ``with closing(FlashP(...))``."""
 
     def __init__(self, df: DataFrame, *, days: int):
-        self.df = df
         self.days = days
-        # The ARIMA fitters (see the module docstring). Each submit spawns a
-        # worker while none is idle, and none is idle before the barrier
-        # lets them go, so the n submits start n workers, which import the
-        # fitter while the JVM builds the copy below.
+        # The ARIMA fitters (see the module docstring). No worker idles before
+        # all n reach the barrier, so the n submits spawn n workers, which
+        # import the fitter while the JVM builds the copy; a dead one fails all.
         n = df.sparkSession.sparkContext.defaultParallelism
         ctx = multiprocessing.get_context("spawn")
-        ready = ctx.Barrier(n + 1)
+        ready = ctx.Barrier(n)
         self._pool = ProcessPoolExecutor(
             n, mp_context=ctx, initializer=worker_ready, initargs=(ready,))
-        for _ in range(n):
-            self._pool.submit(int)
         try:
-            # What every rand-free pass reads (see the module docstring).
-            self.scan = per_core(df).localCheckpoint()
-            ready.wait(timeout=120)
+            started = [self._pool.submit(int) for _ in range(n)]
+            self.scan = per_core(with_row_id(df)).localCheckpoint()
+            for f in started:
+                f.result(timeout=120)
+        except BrokenExecutor as e:  # the pool has killed the other workers
+            self._pool.shutdown()
+            raise RuntimeError("a fitting worker died while starting; a script must build "
+                               'its FlashP under if __name__ == "__main__":') from e
         except BaseException:
             ready.abort()  # let the workers out of the barrier, to exit
             self._pool.shutdown()
@@ -137,18 +133,18 @@ class FlashP:
         else:
             w, measures = arithmetic_weight(list(weights)), list(weights)
         delta = delta_for_rate(self.scan, w, rate)
-        return self._cache(name, gsw_sample(self.df, w, delta, measures=measures, seed=seed))
+        return self._cache(name, gsw_sample(self.scan, w, delta, measures=measures, seed=seed))
 
     def add_uniform_sample(
         self, name: str, *, rate: float, seed: int = 0
     ) -> pd.DataFrame:
-        return self._cache(name, uniform_sample(self.df, rate, measures=ADS_MEASURES, seed=seed))
+        return self._cache(name, uniform_sample(self.scan, rate, measures=ADS_MEASURES, seed=seed))
 
     def add_priority_sample(
         self, name: str, *, rate: float, measure: str, seed: int = 0
     ) -> pd.DataFrame:
         k = max(1, int(round(rate * self._rows_per_day)))
-        return self._cache(name, priority_sample(self.df, k, measure=measure, seed=seed))
+        return self._cache(name, priority_sample(self.scan, k, measure=measure, seed=seed))
 
     @cached_property
     def _rows_per_day(self) -> float:
@@ -160,8 +156,10 @@ class FlashP:
         the served columns: ``t``, the dimension codes and each ``{m}_est``.
         The paper's sampling phase is offline and its samples are served
         from memory, so no task pays for the draw or for a Spark job."""
+        if name in ("full", "pim"):
+            raise ValueError(f"sample name {name!r} is reserved for source={name!r}")
         served = {"t", *ADS_DIMS, *map(est_col, ADS_MEASURES)}
-        s = per_core(sample.select([c for c in sample.columns if c in served])).toPandas()
+        s = sample.select([c for c in sample.columns if c in served]).toPandas()
         self._samples[name] = s
         return s
 
@@ -180,7 +178,7 @@ class FlashP:
 
     def sample(self, name: str) -> DataFrame:
         """The stored sample ``name`` as a Spark DataFrame, built on demand."""
-        return self.df.sparkSession.createDataFrame(self._samples[name])
+        return self.scan.sparkSession.createDataFrame(self._samples[name])
 
     # --------------------------------------------------- online serving
     def _aggregate(

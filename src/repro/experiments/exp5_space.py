@@ -22,6 +22,7 @@ from repro.core.estimators import estimated_series, exact_series, relative_agg_e
 from repro.core.grouping import measure_matrix
 from repro.core.gsw import arithmetic_weight, gsw_sample, optimal_weight, solve_delta
 from repro.experiments.common import ExpConfig
+from repro.sampling.base import with_row_id
 from repro.synth_data import ADS_MEASURES
 from repro.theory.bounds import expected_sample_size, rstd_exact
 
@@ -77,8 +78,9 @@ def run_exp5(
     if verify_rate is not None and verify_rate in cfg.rates:
         # Empirical check: matched sizes give matched aggregation errors.
         row = out[out["cgsw_rate"] == verify_rate].iloc[0]
+        rid = with_row_id(df)
         sa = gsw_sample(
-            df, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),
+            rid, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),
             measures=list(ADS_MEASURES), seed=51,
         ).toPandas()
         errs = []
@@ -86,7 +88,7 @@ def run_exp5(
             # recompute the matched Δ for this measure
             r_a = rstd_exact(M[m], w_arith, float(row["cgsw_delta"]))
             delta_m = r_a**2 * M[m].sum()
-            so = gsw_sample(df, optimal_weight(m), delta_m, measures=[m], seed=52).toPandas()
+            so = gsw_sample(rid, optimal_weight(m), delta_m, measures=[m], seed=52).toPandas()
             truth = exact_series(df, None, m, cfg.days)
             e_a = relative_agg_error(estimated_series(sa, None, m, cfg.days), truth)
             e_o = relative_agg_error(estimated_series(so, None, m, cfg.days), truth)

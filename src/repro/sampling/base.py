@@ -1,12 +1,14 @@
 """Shared sampler contract.
 
-Every sampler in this reproduction is a pure DataFrame→DataFrame
-transform. There are two: the GSW draw of :mod:`repro.core.gsw`, whose
-constant-weight case ``w ≡ 1`` is the uniform Bernoulli baseline, and the
-priority baseline of :mod:`repro.sampling.priority`. A sampler's output
-keeps the input's dimension columns and the day column ``t``, and adds,
-for each measure ``m`` it serves, a *calibrated* column ``f"{m}_est"``
-with the Horvitz–Thompson-style property that
+Every sampler is a pure DataFrame→DataFrame transform: the GSW draw of
+:mod:`repro.core.gsw`, whose constant-weight case ``w ≡ 1`` is the
+uniform Bernoulli baseline, and the priority baseline of
+:mod:`repro.sampling.priority`. Its input carries the row ids of
+:func:`with_row_id`, and its randomness is :func:`uniform`, a hash of a
+row's id and the ``seed``, so a sample is fixed by its rows' ids and its
+seed, whatever the frame's partitioning. Its output keeps the input's
+columns and adds, for each measure ``m`` it serves, a *calibrated*
+column ``f"{m}_est"`` with the Horvitz–Thompson-style property that
 
     SUM(m_est)  over sample rows satisfying (C AND t = τ)
 
@@ -16,11 +18,6 @@ invariant is what lets :mod:`repro.core.estimators` answer the paper's
 per-day aggregation queries (eq. 4) with one per-day subset sum over the
 sample (one ``np.bincount`` over ``t``). A null measure is read as 0, so
 no calibrated value is null.
-
-Samplers are deterministic in their ``seed`` — Spark's ``rand(seed)`` is
-seeded per-partition, so a fixed input partitioning yields a fixed
-sample; tests rely on this. It is also why :func:`per_core` must sit
-above every ``rand`` in a plan, never below it.
 """
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
@@ -36,6 +33,17 @@ def measure_col(measure: str) -> Column:
     return F.coalesce(F.col(measure).cast("double"), F.lit(0.0))
 
 
+def with_row_id(df: DataFrame) -> DataFrame:
+    """``df`` with a row id ``_rid``, fixed by ``df``'s own partitions."""
+    return df.withColumn("_rid", F.monotonically_increasing_id())
+
+
+def uniform(seed: int) -> Column:
+    """A row's draw in (0, 1] from its ``_rid`` and ``seed``: ``m/u`` is always
+    defined, and ``u ≤ w/(Δ+w)`` never keeps a row with ``w = 0``."""
+    return (F.pmod(F.xxhash64("_rid", F.lit(seed)), F.lit(2**53)) + 1) / float(2**53)
+
+
 def per_core(df: DataFrame) -> DataFrame:
     """``df`` merged into one partition per core by a narrow ``coalesce``.
 
@@ -43,13 +51,6 @@ def per_core(df: DataFrame) -> DataFrame:
     one small partition per ingest batch, and a scan with a task per
     partition spends most of its time scheduling tasks and writing one
     shuffle block per task and reduce partition. The coalesce adds no
-    shuffle and keeps each input partition whole, so a ``rand(seed)``
-    below it draws the same values as without it.
-
-    ``FlashP`` also stores one copy of the table through it, cut from its
-    lineage (``FlashP.scan``), and every pass that draws no random numbers
-    reads that copy. The draws read the caller's frame instead: the copy
-    has other input partitions, so a ``rand(seed)`` over it would draw
-    other values.
+    shuffle.
     """
     return df.coalesce(df.sparkSession.sparkContext.defaultParallelism)

@@ -4,7 +4,7 @@
 Per time partition ``t`` (samplers run independently per day, which is
 what gives the forecasting layer independent noise ε_t):
 
-* each row gets priority ``q_i = m_i / u_i`` with ``u_i ~ U(0,1)``;
+* each row gets priority ``q_i = m_i / u_i`` with ``u_i = uniform(seed)``;
 * the ``k`` highest-priority rows form the sample;
 * ``τ_t`` is the (k+1)-th largest priority in day ``t``;
 * the estimator for a sampled row is ``m̂_i = max(m_i, τ_t)``.
@@ -17,7 +17,7 @@ functions over the day partition, the rank and τ, which share one shuffle
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col, per_core
+from repro.sampling.base import est_col, per_core, uniform
 
 
 def priority_sample(
@@ -31,9 +31,8 @@ def priority_sample(
     if k_per_day < 1:
         raise ValueError(f"k_per_day must be >= 1, got {k_per_day}")
     m = F.col(measure).cast("double")
-    # The window's shuffle reads one map task per core; the coalesce sits
-    # above ``rand`` so the draw does not depend on it.
-    with_q = per_core(df.withColumn("_q", m / F.rand(seed)))
+    # The window's shuffle reads one map task per core.
+    with_q = per_core(df.withColumn("_q", m / uniform(seed)))
     ranked = with_q.withColumn(
         "_rn", F.row_number().over(Window.partitionBy("t").orderBy(F.desc("_q")))
     )

@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from repro.sampling.base import with_row_id
 from repro.synth_data import ads_pandas
 
 DAYS = 30          # test dataset: 30 days ...
@@ -31,6 +32,12 @@ def ads_df(spark, ads_pdf):
     df.count()
     yield df
     df.unpersist()
+
+
+@pytest.fixture(scope="session")
+def ads_rid_df(ads_df):
+    """``ads_df`` with the row ids every draw hashes."""
+    return with_row_id(ads_df)
 
 
 @pytest.fixture(scope="session")

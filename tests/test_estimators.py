@@ -102,10 +102,10 @@ class TestExactSeries:
 
 
 class TestEstimatedSeries:
-    def test_unsampled_estimate_vs_oracle(self, ads_df, ads_pdf):
+    def test_unsampled_estimate_vs_oracle(self, ads_rid_df, ads_pdf):
         """HT estimate recomputed in DuckDB over the same sample rows."""
-        delta = delta_for_rate(ads_df, optimal_weight("impression"), 0.05)
-        s = gsw_sample(ads_df, optimal_weight("impression"), delta,
+        delta = delta_for_rate(ads_rid_df, optimal_weight("impression"), 0.05)
+        s = gsw_sample(ads_rid_df, optimal_weight("impression"), delta,
                        measures=["impression"], seed=0)
         got = estimated_series(s, "gender IN (1)", "impression", DAYS)
         spdf = s.toPandas()
@@ -117,11 +117,11 @@ class TestEstimatedSeries:
             want[int(t)] = float(v)
         assert np.allclose(got, want)
 
-    def test_estimates_track_truth(self, ads_df):
+    def test_estimates_track_truth(self, ads_rid_df):
         where, _ = random_constraint(0.1, seed=0)
-        truth = exact_series(ads_df, where, "impression", DAYS)
-        delta = delta_for_rate(ads_df, optimal_weight("impression"), 0.10)
-        s = gsw_sample(ads_df, optimal_weight("impression"), delta,
+        truth = exact_series(ads_rid_df, where, "impression", DAYS)
+        delta = delta_for_rate(ads_rid_df, optimal_weight("impression"), 0.10)
+        s = gsw_sample(ads_rid_df, optimal_weight("impression"), delta,
                        measures=["impression"], seed=1).cache()
         est = estimated_series(s, where, "impression", DAYS)
         assert relative_agg_error(est, truth) < 0.5

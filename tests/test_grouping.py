@@ -100,15 +100,15 @@ class TestMeasureMatrix:
         assert len(vec["impression"]) == len(ads_pdf)
         assert vec["impression"].sum() == ads_pdf["impression"].sum()
 
-    def test_row_sampled_collection(self, ads_df, ads_pdf):
-        vec = measure_matrix(ads_df, ["impression"], rate=0.1, seed=0)
+    def test_row_sampled_collection(self, ads_rid_df, ads_pdf):
+        vec = measure_matrix(ads_rid_df, ["impression"], rate=0.1, seed=0)
         n = len(vec["impression"])
         assert 0.05 * len(ads_pdf) < n < 0.15 * len(ads_pdf)
 
-    def test_click_groups_with_impression(self, ads_df):
+    def test_click_groups_with_impression(self, ads_rid_df):
         """The generator makes click/cart follow impression and favorite
         diverge — grouping into 2 should separate favorite from click."""
-        vec = measure_matrix(ads_df, list(ADS_MEASURES), rate=0.5, seed=1)
+        vec = measure_matrix(ads_rid_df, list(ADS_MEASURES), rate=0.5, seed=1)
         groups = k_center_groups(vec, 2)
         for g in groups:
             if "impression" in g:

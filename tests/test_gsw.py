@@ -13,7 +13,7 @@ from repro.core.gsw import (
     optimal_weight,
     solve_delta,
 )
-from repro.sampling.base import est_col
+from repro.sampling.base import est_col, with_row_id
 from repro.synth_data import ADS_MEASURES
 from repro.theory import bounds
 
@@ -50,7 +50,7 @@ class TestZeroMeasures:
         n = 20_000
         a = np.floor(g.lognormal(3.0, 1.0, n)) + 1
         b = np.where(g.random(n) < 0.3, 0.0, np.floor(g.lognormal(3.0, 1.0, n)) + 1)
-        df = spark.createDataFrame(pd.DataFrame({"a": a, "b": b}))
+        df = with_row_id(spark.createDataFrame(pd.DataFrame({"a": a, "b": b})))
         if missing == "null":
             df = df.withColumn("b", F.when(F.col("b") > 0, F.col("b")))
             assert df.where(F.col("b").isNull()).count() == int((b == 0).sum())
@@ -73,78 +73,78 @@ class TestZeroMeasures:
 
 
 class TestGswSample:
-    def test_keeps_input_columns(self, ads_df):
-        s = gsw_sample(ads_df, optimal_weight("impression"), 500.0,
+    def test_keeps_input_columns(self, ads_rid_df):
+        s = gsw_sample(ads_rid_df, optimal_weight("impression"), 500.0,
                        measures=["impression"], seed=0)
-        for c in ads_df.columns:
+        for c in ads_rid_df.columns:
             assert c in s.columns
         assert est_col("impression") in s.columns and "_w" in s.columns
 
-    def test_calibrated_measure_formula(self, ads_df):
+    def test_calibrated_measure_formula(self, ads_rid_df):
         delta = 500.0
-        s = gsw_sample(ads_df, optimal_weight("impression"), delta,
+        s = gsw_sample(ads_rid_df, optimal_weight("impression"), delta,
                        measures=["impression"], seed=0)
         pdf = s.select("impression", "_w", est_col("impression")).toPandas()
         want = pdf["impression"] * (delta + pdf["_w"]) / pdf["_w"]
         assert np.allclose(pdf[est_col("impression")], want)
 
-    def test_sample_size_near_expectation(self, ads_df, ads_pdf):
+    def test_sample_size_near_expectation(self, ads_rid_df, ads_pdf):
         delta = 500.0
         w = optimal_weight("impression")
         es = bounds.expected_sample_size(ads_pdf["impression"].to_numpy(float), delta)
-        got = gsw_sample(ads_df, w, delta, measures=["impression"], seed=3).count()
+        got = gsw_sample(ads_rid_df, w, delta, measures=["impression"], seed=3).count()
         # Binomial concentration: within 5 std devs.
         assert abs(got - es) < 5 * np.sqrt(es) + 5
 
-    def test_estimate_unbiased_over_seeds(self, ads_df, ads_pdf):
+    def test_estimate_unbiased_over_seeds(self, ads_rid_df, ads_pdf):
         """Mean of M̂ over independent seeds converges to M."""
         truth = float(ads_pdf["impression"].sum())
         delta = float(ads_pdf["impression"].sum()) / (0.02 * len(ads_pdf))
         w = optimal_weight("impression")
         ests = []
         for seed in range(8):
-            s = gsw_sample(ads_df, w, delta, measures=["impression"], seed=seed)
+            s = gsw_sample(ads_rid_df, w, delta, measures=["impression"], seed=seed)
             ests.append(s.agg(F.sum(est_col("impression"))).first()[0])
         rel = abs(np.mean(ests) - truth) / truth
         # 8 seeds of a ~900-row expected sample: mean within ~3 RSTD/√8.
         assert rel < 3 * np.sqrt(1 / 900) / np.sqrt(8) + 0.02
 
-    def test_deterministic_given_seed_and_partitioning(self, ads_df):
+    def test_deterministic_given_seed_and_row_ids(self, ads_rid_df):
         w = optimal_weight("impression")
-        a = gsw_sample(ads_df, w, 500.0, measures=["impression"], seed=5).count()
-        b = gsw_sample(ads_df, w, 500.0, measures=["impression"], seed=5).count()
+        a = gsw_sample(ads_rid_df, w, 500.0, measures=["impression"], seed=5).count()
+        b = gsw_sample(ads_rid_df, w, 500.0, measures=["impression"], seed=5).count()
         assert a == b
 
-    def test_different_seeds_differ(self, ads_df):
+    def test_different_seeds_differ(self, ads_rid_df):
         w = optimal_weight("impression")
-        a = gsw_sample(ads_df, w, 500.0, measures=["impression"], seed=1)
-        b = gsw_sample(ads_df, w, 500.0, measures=["impression"], seed=2)
+        a = gsw_sample(ads_rid_df, w, 500.0, measures=["impression"], seed=1)
+        b = gsw_sample(ads_rid_df, w, 500.0, measures=["impression"], seed=2)
         sa = a.agg(F.sum(est_col("impression"))).first()[0]
         sb = b.agg(F.sum(est_col("impression"))).first()[0]
         assert sa != sb
 
-    def test_multiple_measures_one_sample(self, ads_df):
-        s = gsw_sample(ads_df, arithmetic_weight(list(ADS_MEASURES)), 200.0,
+    def test_multiple_measures_one_sample(self, ads_rid_df):
+        s = gsw_sample(ads_rid_df, arithmetic_weight(list(ADS_MEASURES)), 200.0,
                        measures=list(ADS_MEASURES), seed=0)
         for m in ADS_MEASURES:
             assert est_col(m) in s.columns
 
-    def test_rejects_bad_delta(self, ads_df):
+    def test_rejects_bad_delta(self, ads_rid_df):
         with pytest.raises(ValueError):
-            gsw_sample(ads_df, optimal_weight("impression"), 0.0,
+            gsw_sample(ads_rid_df, optimal_weight("impression"), 0.0,
                        measures=["impression"], seed=0)
 
-    def test_rejects_empty_measures(self, ads_df):
+    def test_rejects_empty_measures(self, ads_rid_df):
         with pytest.raises(ValueError):
-            gsw_sample(ads_df, optimal_weight("impression"), 1.0, measures=[], seed=0)
+            gsw_sample(ads_rid_df, optimal_weight("impression"), 1.0, measures=[], seed=0)
 
-    def test_heavy_rows_almost_always_sampled(self, ads_df, ads_pdf):
+    def test_heavy_rows_almost_always_sampled(self, ads_rid_df, ads_pdf):
         """Rows with w ≫ Δ are included with probability ≈ 1."""
         delta = 10.0
         big = int((ads_pdf["impression"] > 1000).sum())
         if big == 0:
             pytest.skip("no heavy rows at this SF")
-        s = gsw_sample(ads_df, optimal_weight("impression"), delta,
+        s = gsw_sample(ads_rid_df, optimal_weight("impression"), delta,
                        measures=["impression"], seed=7)
         got = s.where("impression > 1000").count()
         assert got >= 0.95 * big
@@ -170,10 +170,10 @@ class TestSolveDelta:
         d_big = delta_for_rate(ads_df, w, 0.10)
         assert d_big < d_small
 
-    def test_rate_one_keeps_everything(self, ads_df):
+    def test_rate_one_keeps_everything(self, ads_df, ads_rid_df):
         w = optimal_weight("impression")
         delta = delta_for_rate(ads_df, w, 1.0)
-        s = gsw_sample(ads_df, w, delta, measures=["impression"], seed=0)
+        s = gsw_sample(ads_rid_df, w, delta, measures=["impression"], seed=0)
         assert s.count() >= 0.99 * ads_df.count()
 
     def test_raises_when_not_converged(self, ads_pdf):
@@ -221,26 +221,26 @@ class TestSolveDelta:
 
 
 class TestIncreaseDelta:
-    def test_shrinks_sample(self, ads_df):
+    def test_shrinks_sample(self, ads_rid_df):
         w = optimal_weight("impression")
-        s1 = gsw_sample(ads_df, w, 100.0, measures=["impression"], seed=0).cache()
+        s1 = gsw_sample(ads_rid_df, w, 100.0, measures=["impression"], seed=0).cache()
         s2 = increase_delta(s1, 1000.0, measures=["impression"])
         assert 0 < s2.count() < s1.count()
 
-    def test_matches_direct_draw(self, ads_df):
+    def test_matches_direct_draw(self, ads_rid_df):
         """Shrinking Δ→Δ′ must equal sampling at Δ′ directly (same seed)."""
         w = optimal_weight("impression")
-        s1 = gsw_sample(ads_df, w, 100.0, measures=["impression"], seed=4).cache()
+        s1 = gsw_sample(ads_rid_df, w, 100.0, measures=["impression"], seed=4).cache()
         shrunk = increase_delta(s1, 800.0, measures=["impression"])
-        direct = gsw_sample(ads_df, w, 800.0, measures=["impression"], seed=4)
+        direct = gsw_sample(ads_rid_df, w, 800.0, measures=["impression"], seed=4)
         assert shrunk.count() == direct.count()
         a = shrunk.agg(F.sum(est_col("impression"))).first()[0]
         b = direct.agg(F.sum(est_col("impression"))).first()[0]
         assert a == pytest.approx(b)
 
-    def test_recalibrates_estimates(self, ads_df):
+    def test_recalibrates_estimates(self, ads_rid_df):
         w = optimal_weight("impression")
-        s1 = gsw_sample(ads_df, w, 100.0, measures=["impression"], seed=0).cache()
+        s1 = gsw_sample(ads_rid_df, w, 100.0, measures=["impression"], seed=0).cache()
         s2 = increase_delta(s1, 500.0, measures=["impression"])
         pdf = s2.select("impression", "_w", est_col("impression")).toPandas()
         want = pdf["impression"] * (500.0 + pdf["_w"]) / pdf["_w"]
@@ -256,15 +256,15 @@ class TestIncreaseDelta:
         assert len(pdf) == 1
         assert pdf[est_col("impression")].iloc[0] == pytest.approx(5.0 * 15.0 / 5.0)
 
-    def test_noop_when_delta_unchanged(self, ads_df):
+    def test_noop_when_delta_unchanged(self, ads_rid_df):
         w = optimal_weight("impression")
-        s1 = gsw_sample(ads_df, w, 300.0, measures=["impression"], seed=0).cache()
+        s1 = gsw_sample(ads_rid_df, w, 300.0, measures=["impression"], seed=0).cache()
         s2 = increase_delta(s1, 300.0, measures=["impression"])
         assert s2.count() == s1.count()
 
 
 class TestAgainstTheory:
-    def test_spark_estimator_rstd_within_theorem3(self, ads_df, ads_pdf):
+    def test_spark_estimator_rstd_within_theorem3(self, ads_rid_df, ads_pdf):
         """Empirical RSTD over seeds obeys Theorem 3 for w = m."""
         m = ads_pdf["impression"].to_numpy(dtype=float)
         delta = float(m.sum() / (0.05 * len(m)))
@@ -274,7 +274,7 @@ class TestAgainstTheory:
         w = optimal_weight("impression")
         sq = []
         for seed in range(10):
-            s = gsw_sample(ads_df, w, delta, measures=["impression"], seed=seed)
+            s = gsw_sample(ads_rid_df, w, delta, measures=["impression"], seed=seed)
             est = s.agg(F.sum(est_col("impression"))).first()[0]
             sq.append(((est - truth) / truth) ** 2)
         rstd_emp = float(np.sqrt(np.mean(sq)))

@@ -1,27 +1,29 @@
 """Every Spark pass over the table runs one map task per core
-(``sampling.base.per_core``), and the coalesce that does it leaves every
-sample's draw unchanged. FlashP's rand-free passes read its per-core copy
-of the relation, ``FlashP.scan``, which answers them bit for bit as the
-caller's frame does and holds no lineage back to the ingest."""
+(``sampling.base.per_core``), and every draw hashes each row's id with its
+seed, so no sample depends on the partitioning. FlashP's passes read its
+per-core copy of the relation, ``FlashP.scan``, which answers them bit for
+bit as the caller's frame does and holds no lineage back to the ingest."""
 from contextlib import closing
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines.pim import PIM
-from repro.core import estimators
+from repro.core import estimators, pipeline
 from repro.core.estimators import exact_series
 from repro.core.gsw import (
     arithmetic_weight,
     delta_for_rate,
+    geometric_weight,
     gsw_sample,
     optimal_weight,
     uniform_sample,
 )
 from repro.core.pipeline import FlashP
-from repro.sampling.base import est_col
+from repro.sampling.base import est_col, uniform, with_row_id
 from repro.sampling.priority import priority_sample
 from repro.synth_data import ADS_DIMS, ADS_MEASURES
 from tests.conftest import DAYS, WIDE_PARTITIONS
@@ -71,67 +73,78 @@ def _sorted(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-class TestSamplesUnchanged:
-    """The store holds the same rows, with bit-identical ``{m}_est``, as the
-    same draw collected without a coalesce: the coalesce sits above every
-    ``rand``, which is seeded per input partition. The frame has many more
-    partitions than cores, so a coalesce below ``rand`` would change it."""
+WEIGHTS = {
+    "optimal": ("impression", lambda: optimal_weight("impression"), ["impression"]),
+    "arithmetic": (list(ADS_MEASURES), lambda: arithmetic_weight(list(ADS_MEASURES)), list(ADS_MEASURES)),
+    "geometric": ("geometric:" + ",".join(ADS_MEASURES),
+                  lambda: geometric_weight(list(ADS_MEASURES)), list(ADS_MEASURES)),
+}
+RATE, SEED = 0.1, 11
 
-    RATE, SEED = 0.1, 11
+
+def _k(df) -> int:
+    """A priority sample's rows per day at ``RATE``, as ``FlashP`` counts them."""
+    return max(1, round(RATE * df.count() / DAYS))
+
+
+class TestSamplesUnchanged:
+    """A draw gives the same rows, with bit-identical ``{m}_est``, on any
+    partitioning of the same row ids: one partition, the ids' own, or 48
+    after a shuffle. Each row's uniform is a hash of its id and the seed."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, ads_df):
+        base = with_row_id(ads_df).localCheckpoint()
+        return [base, base.coalesce(1), base.repartition(WIDE_PARTITIONS)]
 
     @staticmethod
-    def _check(stored: pd.DataFrame, direct) -> None:
-        assert len(stored) > 0
-        assert _sorted(stored).equals(_sorted(direct.select(*stored.columns).toPandas()))
+    def _check(frames, draw) -> None:
+        first, *others = (_sorted(draw(df).toPandas()) for df in frames)
+        assert len(first) > 0
+        for other in others:
+            assert first.equals(other)
 
-    @pytest.mark.parametrize("weights", ["impression", list(ADS_MEASURES)], ids=["optimal", "arithmetic"])
-    def test_gsw(self, ads_wide_df, weights):
-        stored = _with_flashp(ads_wide_df, lambda fp: fp.add_gsw_sample(
-            "g", rate=self.RATE, weights=weights, seed=self.SEED))
-        if isinstance(weights, str):
-            w, measures = optimal_weight(weights), [weights]
-        else:
-            w, measures = arithmetic_weight(weights), weights
-        delta = delta_for_rate(ads_wide_df, w, self.RATE)
-        self._check(stored, gsw_sample(ads_wide_df, w, delta, measures=measures, seed=self.SEED))
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_gsw(self, frames, weights):
+        _, w, measures = WEIGHTS[weights]
+        delta = delta_for_rate(frames[0], w(), RATE)
+        self._check(frames, lambda df: gsw_sample(df, w(), delta, measures=measures, seed=SEED))
 
-    def test_uniform(self, ads_wide_df):
-        stored = _with_flashp(ads_wide_df, lambda fp: fp.add_uniform_sample(
-            "u", rate=self.RATE, seed=self.SEED))
-        self._check(stored, uniform_sample(
-            ads_wide_df, self.RATE, measures=list(ADS_MEASURES), seed=self.SEED))
+    def test_uniform(self, frames):
+        self._check(frames, lambda df: uniform_sample(
+            df, RATE, measures=list(ADS_MEASURES), seed=SEED))
 
     @pytest.mark.parametrize("measure", ["impression", "click"])
-    def test_priority(self, ads_wide_df, measure):
-        stored = _with_flashp(ads_wide_df, lambda fp: fp.add_priority_sample(
-            "p", rate=self.RATE, measure=measure, seed=self.SEED))
-        k = max(1, round(self.RATE * ads_wide_df.count() / DAYS))
-        self._check(stored, priority_sample(ads_wide_df, k, measure=measure, seed=self.SEED))
+    def test_priority(self, frames, measure):
+        k = _k(frames[0])
+        self._check(frames, lambda df: priority_sample(df, k, measure=measure, seed=SEED))
 
     @pytest.mark.parametrize("measure", ["impression", "click"])
     def test_priority_matches_its_definition(self, ads_wide_df, measure):
-        """``priority_sample`` against the priorities ``m / rand(seed)``
-        drawn on the uncoalesced table and ranked in pandas: the ``k``
-        largest per day, with ``m̂ = max(m, τ)`` for τ the (k+1)-th."""
+        """``priority_sample`` against the priorities ``m / uniform(seed)``
+        ranked in pandas: the ``k`` largest per day, with ``m̂ = max(m, τ)``
+        for τ the (k+1)-th."""
         k = 40
         cols = ["t", *ADS_DIMS, est_col(measure)]
         m = F.col(measure).cast("double")
-        q = ads_wide_df.select("t", *ADS_DIMS, m.alias("m"), (m / F.rand(self.SEED)).alias("q"))
+        df = with_row_id(ads_wide_df)
+        q = df.select("t", *ADS_DIMS, m.alias("m"), (m / uniform(SEED)).alias("q"))
         want = []
         for _, day in q.toPandas().groupby("t"):
             top = day.sort_values("q", ascending=False, na_position="last")
             tau = top["q"].iloc[k]
             want.append(top.head(k).assign(**{est_col(measure): np.fmax(top["m"].head(k), tau)}))
-        got = priority_sample(ads_wide_df, k, measure=measure, seed=self.SEED)
+        got = priority_sample(df, k, measure=measure, seed=SEED)
         got = got.select(*cols).toPandas()
         assert _sorted(got).equals(_sorted(pd.concat(want)[cols]))
 
 
 class TestScanCopy:
-    """FlashP's rand-free passes read ``FlashP.scan``, one partition per core
-    where the caller's frame has many, and answer exactly as the same passes
-    over the caller's frame: the sums add integer measures as doubles, which
-    is exact in any order, and the weight histogram is sorted before use."""
+    """FlashP's passes read ``FlashP.scan``, one partition per core where the
+    caller's frame has many, and answer exactly as the same passes over the
+    caller's frame: the sums add integer measures as doubles, which is exact
+    in any order, the weight histogram is sorted before use, and the copy's
+    row ids are those ``with_row_id`` gives the caller's frame."""
 
     @pytest.fixture(scope="class")
     def fp(self, ads_wide_df):
@@ -158,22 +171,49 @@ class TestScanCopy:
         w = optimal_weight(weights) if isinstance(weights, str) else arithmetic_weight(weights)
         assert delta_for_rate(fp.scan, w, 0.05) == delta_for_rate(ads_wide_df, w, 0.05)
 
-    def test_full_source_scan_has_no_ingest_lineage(self, ads_df, monkeypatch):
+    @pytest.mark.parametrize("draw", [*WEIGHTS, "uniform", "priority"])
+    def test_store_equals_direct_draw(self, fp, ads_wide_df, draw):
+        df = with_row_id(ads_wide_df)
+        if draw == "uniform":
+            stored = fp.add_uniform_sample(draw, rate=RATE, seed=SEED)
+            direct = uniform_sample(df, RATE, measures=list(ADS_MEASURES), seed=SEED)
+        elif draw == "priority":
+            stored = fp.add_priority_sample(draw, rate=RATE, measure="click", seed=SEED)
+            direct = priority_sample(df, _k(df), measure="click", seed=SEED)
+        else:
+            spec, w, measures = WEIGHTS[draw]
+            stored = fp.add_gsw_sample(draw, rate=RATE, weights=spec, seed=SEED)
+            direct = gsw_sample(df, w(), delta_for_rate(df, w(), RATE), measures=measures, seed=SEED)
+        assert len(stored) > 0
+        assert _sorted(stored).equals(_sorted(direct.select(*stored.columns).toPandas()))
+
+    PASSES = {
+        "full": (estimators, "exact_series", lambda fp: fp.run(
+            "FORECAST SUM(click) FROM ads USING (0, 21)", source="full", arima_kwargs=ARIMA_FAST)),
+        "gsw": (pipeline, "gsw_sample", lambda fp: fp.add_gsw_sample("g", rate=RATE, weights="click")),
+        "uniform": (pipeline, "uniform_sample", lambda fp: fp.add_uniform_sample("u", rate=RATE)),
+        "priority": (pipeline, "priority_sample",
+                     lambda fp: fp.add_priority_sample("p", rate=RATE, measure="click")),
+    }
+
+    @pytest.mark.parametrize("name", PASSES)
+    def test_spark_pass_has_no_ingest_lineage(self, ads_df, monkeypatch, name):
         """``ads_df`` is cached, but its plan still holds the ingest's Arrow
         batches in a ``ParallelCollectionRDD`` that every task would ship;
-        the frame the full source scans holds none."""
-        scanned = []
+        no frame that FlashP's passes scan or collect holds one."""
+        owner, attr, run = self.PASSES[name]
+        orig, lineages = getattr(owner, attr), []
 
-        def exact(df, *args):
-            scanned.append(df)
-            return exact_series(df, *args)
+        def spy(df, *args, **kwargs):
+            out = orig(df, *args, **kwargs)
+            lineages.append((out if isinstance(out, DataFrame) else df).rdd.toDebugString())
+            return out
 
-        monkeypatch.setattr(estimators, "exact_series", exact)
+        monkeypatch.setattr(owner, attr, spy)
         assert b"ParallelCollectionRDD" in ads_df.rdd.toDebugString()
-        _with_flashp(ads_df, lambda fp: fp.run(
-            "FORECAST SUM(click) FROM ads USING (0, 21)", source="full", arima_kwargs=ARIMA_FAST))
-        assert len(scanned) == 1
-        assert b"ParallelCollectionRDD" not in scanned[0].rdd.toDebugString()
+        _with_flashp(ads_df, run)
+        assert len(lineages) == 1
+        assert b"ParallelCollectionRDD" not in lineages[0]
 
     def test_close_releases_the_copy(self, ads_df):
         """``close()`` frees the copy's blocks, which ``DataFrame.unpersist``

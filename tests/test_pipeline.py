@@ -3,6 +3,9 @@ forecast), matching the two online phases of Section 2.2."""
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
@@ -183,6 +186,18 @@ class TestSampleManagement:
                 jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
         assert jobs[1] < jobs[0]
 
+    @pytest.mark.parametrize("add", [
+        lambda fp, name: fp.add_gsw_sample(name, rate=0.1, weights="click"),
+        lambda fp, name: fp.add_uniform_sample(name, rate=0.1),
+        lambda fp, name: fp.add_priority_sample(name, rate=0.1, measure="click"),
+    ], ids=["gsw", "uniform", "priority"])
+    @pytest.mark.parametrize("name", ["full", "pim"])
+    def test_reserved_names_rejected(self, flashp, add, name):
+        """``run`` matches ``source`` against these names first, so a sample
+        stored under one could never be served."""
+        with pytest.raises(ValueError, match="reserved"):
+            add(flashp, name)
+
     def test_sample_has_calibrated_columns(self, flashp):
         from repro.sampling.base import est_col
 
@@ -262,6 +277,26 @@ class TestFittingWorkers:
         for w in workers:
             w.join(timeout=30)
             assert not w.is_alive()
+
+    def test_script_without_main_guard_fails_fast(self, tmp_path):
+        """Each spawned worker re-runs an unguarded script, builds a FlashP,
+        and dies when it tries to start workers of its own; ``__init__``
+        sees the broken pool at once and names the guard."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from pyspark.sql import SparkSession\n"
+            "from repro.core.pipeline import FlashP\n"
+            "spark = SparkSession.builder.getOrCreate()\n"
+            "FlashP(spark.range(8).selectExpr('id AS t'), days=1)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYSPARK_SUBMIT_ARGS": (
+            "--master local[1] --driver-memory 512m --conf spark.driver.host=127.0.0.1 "
+            "--conf spark.ui.enabled=false pyspark-shell")}
+        t0 = time.monotonic()
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=110)
+        assert time.monotonic() - t0 < 60
+        assert done.returncode != 0
+        assert 'if __name__ == "__main__":' in done.stderr
 
     def test_workers_do_not_import_pyspark(self, flashp):
         assert not flashp._pool.submit(eval, "'pyspark' in __import__('sys').modules").result()
