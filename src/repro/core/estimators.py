@@ -5,10 +5,9 @@ for every day in the training window; one pass answers all t₀ of them,
 as the paper notes.
 
 * The exact series scans the full relation on Spark: one Catalyst plan
-  ``Filter(C) → Aggregate(t, SUM(m))`` with one map task per core
-  (``sampling.base.per_core``), not one per cached partition; ``FlashP``
-  runs it over its copy ``FlashP.scan``. The full scan is the baseline the
-  samples beat.
+  ``Filter(C) → Aggregate(t, SUM(m))`` with one map task per partition of
+  its input; ``FlashP`` runs it over ``FlashP.scan``, one partition per
+  core. The full scan is the baseline the samples beat.
 * The estimated series is a Horvitz–Thompson subset sum of a sample's
   calibrated column ``{m}_est``, served from the sample held in driver
   memory as a columnar frame (the paper's Fig. 2). ``C`` becomes one
@@ -28,7 +27,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.task import parse_where
-from repro.sampling.base import est_col, per_core
+from repro.sampling.base import est_col
 from repro.synth_data import ADS_DIMS
 
 
@@ -38,7 +37,7 @@ def _outside(t: int, days: int) -> ValueError:
 
 def exact_series(df: DataFrame, where: str | None, measure: str, days: int) -> np.ndarray:
     """Ground-truth ``M_t`` for t = 0..days-1 via a full scan."""
-    sel = per_core(df.where(where) if where else df)
+    sel = df.where(where) if where else df
     rows = (
         sel.groupBy("t")
         .agg(F.sum(F.col(measure).cast("double")).alias("s"))

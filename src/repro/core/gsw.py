@@ -28,7 +28,7 @@ import numpy as np
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col, measure_col, per_core, uniform
+from repro.sampling.base import est_col, measure_col, uniform
 
 
 def optimal_weight(measure: str) -> Column:
@@ -189,7 +189,7 @@ def delta_for_rate(df: DataFrame, weight: Column, rate: float, **kw) -> float:
     (``groupBy(w).count()``); ``solve_delta`` then runs on the driver.
     """
     hist = (
-        per_core(df.select(weight.alias("w")))
+        df.select(weight.alias("w"))
         .groupBy("w").count().toPandas()
         .sort_values("w")  # a fixed summation order, whatever the partitioning
     )

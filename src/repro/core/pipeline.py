@@ -14,15 +14,16 @@ online phase processes a forecasting task in two steps:
    with confidence intervals.
 
 Every Spark pass (the exact series, the Δ histogram, the draws, the PIM
-cubes, the row count) reads ``FlashP.scan``, the lineage-free per-core
-copy ``per_core(with_row_id(df)).localCheckpoint()``, so no task ships
-the ingest's Arrow batches. A draw hashes the row ids, which come from
-the caller's partitions, with its seed: no sample depends on the cores.
+cubes, the row count) reads ``FlashP.scan``, a lineage-free copy of the
+relation with one partition per core, so no task ships the ingest's Arrow
+batches and no pass decides its own partitioning. A draw hashes the row
+ids, which come from the caller's partitions, with its seed: no sample
+depends on the cores.
 
 The ARIMA candidates of a task are fitted concurrently, on a pool of
 worker processes that each ``FlashP`` starts in ``__init__`` and stops in
-``close()``: one worker per core (``defaultParallelism``, the core count
-of every ``per_core`` pass). The workers are spawned, not forked: each is
+``close()``: one worker per core (``defaultParallelism``, the partition
+count of ``FlashP.scan``). The workers are spawned, not forked: each is
 a fresh interpreter that imports the caller's main module (so a script
 builds its ``FlashP`` under ``if __name__ == "__main__":``, or
 ``__init__`` fails at once, naming it) and the fitter, and shares neither
@@ -61,7 +62,7 @@ from repro.core.gsw import (
 from repro.core.task import ForecastTask, parse_task, rewrite_where
 from repro.forecast.arima import auto_arima, worker_ready
 from repro.forecast.lstm import LSTMForecaster
-from repro.sampling.base import est_col, per_core, with_row_id
+from repro.sampling.base import est_col, with_row_id
 from repro.sampling.priority import priority_sample
 from repro.synth_data import ADS_DIMS, ADS_MEASURES
 
@@ -96,7 +97,11 @@ class FlashP:
             n, mp_context=ctx, initializer=worker_ready, initargs=(ready,))
         try:
             started = [self._pool.submit(int) for _ in range(n)]
-            self.scan = per_core(with_row_id(df)).localCheckpoint()
+            # A cached table keeps one small partition per ingest batch, and a
+            # pass with a task per partition spends most of its time
+            # scheduling tasks and writing one shuffle block per task and
+            # reduce partition; the narrow coalesce adds no shuffle.
+            self.scan = with_row_id(df).coalesce(n).localCheckpoint()
             for f in started:
                 f.result(timeout=120)
         except BrokenExecutor as e:  # the pool has killed the other workers

@@ -84,7 +84,7 @@ def parse_where(where: str | None) -> list[Predicate]:
             op, val = m.group("op"), int(m.group("val"))
             domain = range(card)
             values = {
-                "=": {v for v in domain if v == val},
+                "=": {val},
                 "<": {v for v in domain if v < val},
                 "<=": {v for v in domain if v <= val},
                 ">": {v for v in domain if v > val},
@@ -93,6 +93,8 @@ def parse_where(where: str | None) -> list[Predicate]:
         bad = {v for v in values if not (0 <= v < card)}
         if bad:
             raise ValueError(f"values {sorted(bad)} out of range for {dim} (card {card})")
+        if not values:
+            raise ValueError(f"predicate {clause.strip()!r} selects no value of {dim} (card {card})")
         preds.append(Predicate(dim, frozenset(values)))
     return preds
 

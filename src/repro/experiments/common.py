@@ -43,10 +43,9 @@ class ExpConfig:
 
 
 def load_ads(spark: SparkSession, cfg: ExpConfig) -> DataFrame:
-    """Generate + cache the ads relation for a config."""
-    df = ads_data(spark, sf=cfg.sf, days=cfg.days, seed=cfg.seed).cache()
-    df.count()
-    return df
+    """The ads relation for a config, uncached: a harness reads it through
+    a ``FlashP``, whose ``scan`` is the one copy its passes read."""
+    return ads_data(spark, sf=cfg.sf, days=cfg.days, seed=cfg.seed)
 
 
 def tasks_for(

@@ -14,6 +14,8 @@ errors.
 """
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -21,8 +23,8 @@ from pyspark.sql import DataFrame
 from repro.core.estimators import estimated_series, exact_series, relative_agg_error
 from repro.core.grouping import measure_matrix
 from repro.core.gsw import arithmetic_weight, gsw_sample, optimal_weight, solve_delta
+from repro.core.pipeline import FlashP
 from repro.experiments.common import ExpConfig
-from repro.sampling.base import with_row_id
 from repro.synth_data import ADS_MEASURES
 from repro.theory.bounds import expected_sample_size, rstd_exact
 
@@ -41,57 +43,59 @@ def run_exp5(
     aggregation errors. It is None when ``verify_rate`` is None or not
     one of ``cfg.rates``.
     """
-    M = measure_matrix(df, list(ADS_MEASURES))
-    w_arith = np.mean([M[m] for m in ADS_MEASURES], axis=0)
-    n = len(w_arith)
+    with closing(FlashP(df, days=cfg.days)) as fp:
+        M = measure_matrix(fp.scan, list(ADS_MEASURES))
+        w_arith = np.mean([M[m] for m in ADS_MEASURES], axis=0)
+        n = len(w_arith)
 
-    rows = []
-    for rate in cfg.rates:
-        target = rate * n
-        delta_a = solve_delta(*np.unique(w_arith, return_counts=True), target, rtol=1e-12)
-        opt_sizes = {}
-        opt_deltas = {}
-        max_err = 0.0
-        for m in ADS_MEASURES:
-            r_a = rstd_exact(M[m], w_arith, delta_a)
-            max_err = max(max_err, r_a)
-            # Optimal GSW (w=m): RSTD(Δ) = sqrt(Δ/M) → Δ matching r_a:
-            delta_m = r_a**2 * M[m].sum()
-            opt_deltas[m] = delta_m
-            opt_sizes[m] = expected_sample_size(M[m], delta_m)
-        total_opt = float(sum(opt_sizes.values()))
-        rows.append(
-            {
-                "cgsw_rate": rate,
-                "cgsw_size": target,
-                "cgsw_delta": delta_a,
-                "max_agg_rstd": max_err,
-                **{f"opt_size_{m}": float(opt_sizes[m]) for m in ADS_MEASURES},
-                "total_opt_size": total_opt,
-                "size_ratio": total_opt / target,
-                "paper_ratio": PAPER_RATIO,
-            }
-        )
+        rows = []
+        for rate in cfg.rates:
+            target = rate * n
+            delta_a = solve_delta(*np.unique(w_arith, return_counts=True), target, rtol=1e-12)
+            opt_sizes = {}
+            opt_deltas = {}
+            max_err = 0.0
+            for m in ADS_MEASURES:
+                r_a = rstd_exact(M[m], w_arith, delta_a)
+                max_err = max(max_err, r_a)
+                # Optimal GSW (w=m): RSTD(Δ) = sqrt(Δ/M) → Δ matching r_a:
+                delta_m = r_a**2 * M[m].sum()
+                opt_deltas[m] = delta_m
+                opt_sizes[m] = expected_sample_size(M[m], delta_m)
+            total_opt = float(sum(opt_sizes.values()))
+            rows.append(
+                {
+                    "cgsw_rate": rate,
+                    "cgsw_size": target,
+                    "cgsw_delta": delta_a,
+                    "max_agg_rstd": max_err,
+                    **{f"opt_size_{m}": float(opt_sizes[m]) for m in ADS_MEASURES},
+                    "total_opt_size": total_opt,
+                    "size_ratio": total_opt / target,
+                    "paper_ratio": PAPER_RATIO,
+                }
+            )
 
-    out = pd.DataFrame(rows)
-    verify = None
-    if verify_rate is not None and verify_rate in cfg.rates:
-        # Empirical check: matched sizes give matched aggregation errors.
-        row = out[out["cgsw_rate"] == verify_rate].iloc[0]
-        rid = with_row_id(df)
-        sa = gsw_sample(
-            rid, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),
-            measures=list(ADS_MEASURES), seed=51,
-        ).toPandas()
-        errs = []
-        for m in ADS_MEASURES:
-            # recompute the matched Δ for this measure
-            r_a = rstd_exact(M[m], w_arith, float(row["cgsw_delta"]))
-            delta_m = r_a**2 * M[m].sum()
-            so = gsw_sample(rid, optimal_weight(m), delta_m, measures=[m], seed=52).toPandas()
-            truth = exact_series(df, None, m, cfg.days)
-            e_a = relative_agg_error(estimated_series(sa, None, m, cfg.days), truth)
-            e_o = relative_agg_error(estimated_series(so, None, m, cfg.days), truth)
-            errs.append({"measure": m, "agg_err_cgsw": e_a, "agg_err_opt": e_o})
-        verify = pd.DataFrame(errs)
+        out = pd.DataFrame(rows)
+        verify = None
+        if verify_rate is not None and verify_rate in cfg.rates:
+            # Empirical check: matched sizes give matched aggregation errors.
+            row = out[out["cgsw_rate"] == verify_rate].iloc[0]
+            sa = gsw_sample(
+                fp.scan, arithmetic_weight(list(ADS_MEASURES)), float(row["cgsw_delta"]),
+                measures=list(ADS_MEASURES), seed=51,
+            ).toPandas()
+            errs = []
+            for m in ADS_MEASURES:
+                # recompute the matched Δ for this measure
+                r_a = rstd_exact(M[m], w_arith, float(row["cgsw_delta"]))
+                delta_m = r_a**2 * M[m].sum()
+                so = gsw_sample(
+                    fp.scan, optimal_weight(m), delta_m, measures=[m], seed=52
+                ).toPandas()
+                truth = exact_series(fp.scan, None, m, cfg.days)
+                e_a = relative_agg_error(estimated_series(sa, None, m, cfg.days), truth)
+                e_o = relative_agg_error(estimated_series(so, None, m, cfg.days), truth)
+                errs.append({"measure": m, "agg_err_cgsw": e_a, "agg_err_opt": e_o})
+            verify = pd.DataFrame(errs)
     return out, verify

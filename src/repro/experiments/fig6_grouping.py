@@ -38,9 +38,8 @@ def two_groupings() -> list[tuple[list[str], list[str]]]:
 def run_fig6(df: DataFrame, cfg: ExpConfig, *, rate: float) -> pd.DataFrame:
     """Per (grouping, measure): L1 distance to the group weight vector and
     mean aggregation error using that group's compressed sample."""
-    vectors = measure_matrix(df, list(ADS_MEASURES))
-
     with closing(FlashP(df, days=cfg.days)) as fp:
+        vectors = measure_matrix(fp.scan, list(ADS_MEASURES))
         wheres = [random_constraint(s, seed=600 + i)[0]
                   for i, s in enumerate(np.geomspace(0.005, 0.10, cfg.n_tasks))]
         truths = {

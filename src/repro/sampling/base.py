@@ -42,15 +42,3 @@ def uniform(seed: int) -> Column:
     """A row's draw in (0, 1] from its ``_rid`` and ``seed``: ``m/u`` is always
     defined, and ``u ≤ w/(Δ+w)`` never keeps a row with ``w = 0``."""
     return (F.pmod(F.xxhash64("_rid", F.lit(seed)), F.lit(2**53)) + 1) / float(2**53)
-
-
-def per_core(df: DataFrame) -> DataFrame:
-    """``df`` merged into one partition per core by a narrow ``coalesce``.
-
-    Every Spark pass over the table goes through it: a cached table keeps
-    one small partition per ingest batch, and a scan with a task per
-    partition spends most of its time scheduling tasks and writing one
-    shuffle block per task and reduce partition. The coalesce adds no
-    shuffle.
-    """
-    return df.coalesce(df.sparkSession.sparkContext.defaultParallelism)

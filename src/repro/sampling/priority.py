@@ -17,7 +17,7 @@ functions over the day partition, the rank and τ, which share one shuffle
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.sampling.base import est_col, per_core, uniform
+from repro.sampling.base import est_col, uniform
 
 
 def priority_sample(
@@ -31,8 +31,7 @@ def priority_sample(
     if k_per_day < 1:
         raise ValueError(f"k_per_day must be >= 1, got {k_per_day}")
     m = F.col(measure).cast("double")
-    # The window's shuffle reads one map task per core.
-    with_q = per_core(df.withColumn("_q", m / uniform(seed)))
+    with_q = df.withColumn("_q", m / uniform(seed))
     ranked = with_q.withColumn(
         "_rn", F.row_number().over(Window.partitionBy("t").orderBy(F.desc("_q")))
     )

@@ -1,4 +1,6 @@
 """Tests for per-day aggregation (eq. 4), oracle-checked against DuckDB."""
+import operator
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -13,9 +15,9 @@ from repro.core.estimators import (
     relative_agg_error,
 )
 from repro.core.gsw import delta_for_rate, gsw_sample, optimal_weight
-from repro.oracle import assert_equivalent
 from repro.synth_data import ADS_DIMS, random_constraint
 from tests.conftest import DAYS
+from tests.oracle import assert_equivalent
 
 
 def _duckdb_series(pdf: pd.DataFrame, where: str | None, column: str, days: int) -> np.ndarray:
@@ -149,7 +151,8 @@ def _frame(rows) -> pd.DataFrame:
 @st.composite
 def _constraints(draw):
     """A conjunction in every operator form ``parse_where`` accepts; a dim
-    may repeat, so some conjunctions contradict themselves."""
+    may repeat, so some conjunctions contradict themselves, and a compared
+    value may lie one past the range, so some clauses select no value."""
     clauses = []
     for dim in draw(st.lists(st.sampled_from(_KDIMS), max_size=4)):
         card = ADS_DIMS[dim]
@@ -160,6 +163,14 @@ def _constraints(draw):
         else:
             clauses.append(f"{dim} {op} {draw(st.integers(0, card))}")
     return " AND ".join(clauses) or None
+
+
+_CMP = {"=": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _selects_no_value(clause: str) -> bool:
+    dim, op, val, *_ = clause.split()
+    return op in _CMP and not any(_CMP[op](v, int(val)) for v in range(ADS_DIMS[dim]))
 
 
 class TestEstimatedSeriesKernel:
@@ -175,6 +186,10 @@ class TestEstimatedSeriesKernel:
              where="gender IN (1) AND device < 2")
     def test_matches_duckdb(self, rows, where):
         pdf = _frame(rows)
+        if where and any(map(_selects_no_value, where.split(" AND "))):
+            with pytest.raises(ValueError, match="selects no value|out of range"):
+                estimated_series(pdf, where, "impression", _KDAYS)
+            return
         got = estimated_series(pdf, where, "impression", _KDAYS)
         assert got.dtype == np.float64 and got.shape == (_KDAYS,)
         want = _duckdb_series(pdf, where, "impression_est", _KDAYS)

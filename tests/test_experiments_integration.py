@@ -93,6 +93,35 @@ class TestFig6Harness:
         assert (t["l1_distance"] >= 0).all() and (t["agg_err"] >= 0).all()
 
 
+@pytest.mark.parametrize("harness", ["exp5", "fig6"])
+def test_harness_pass_has_no_ingest_lineage(ads_df, tiny_cfg, monkeypatch, harness):
+    """Every frame Exp-V and Fig-6 scan is a ``FlashP``'s ``scan``: none
+    holds the ingest's Arrow batches in a ``ParallelCollectionRDD`` that
+    every task would ship."""
+    from repro.core import pipeline
+    from repro.experiments import exp5_space, fig6_grouping
+
+    if harness == "exp5":
+        passes = [(exp5_space, a) for a in ("exact_series", "gsw_sample", "measure_matrix")]
+        run = lambda: exp5_space.run_exp5(ads_df, tiny_cfg, verify_rate=tiny_cfg.rates[0])
+    else:
+        passes = [(fig6_grouping, "exact_series"), (fig6_grouping, "measure_matrix"),
+                  (pipeline, "gsw_sample")]
+        run = lambda: fig6_grouping.run_fig6(ads_df, tiny_cfg, rate=0.1)
+    lineages = []
+    for owner, attr in passes:
+        def spy(df, *args, _orig=getattr(owner, attr), _attr=attr, **kwargs):
+            lineages.append((_attr, df.rdd.toDebugString()))
+            return _orig(df, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+    assert b"ParallelCollectionRDD" in ads_df.rdd.toDebugString()
+    run()
+    assert {attr for attr, _ in lineages} == {attr for _, attr in passes}
+    for attr, lineage in lineages:
+        assert b"ParallelCollectionRDD" not in lineage, attr
+
+
 class TestCommonHelpers:
     def test_tasks_for_shapes(self, tiny_cfg):
         tasks = tasks_for(tiny_cfg, selectivity=0.05, measure="click", base_seed=1)

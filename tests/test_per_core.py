@@ -1,8 +1,8 @@
-"""Every Spark pass over the table runs one map task per core
-(``sampling.base.per_core``), and every draw hashes each row's id with its
-seed, so no sample depends on the partitioning. FlashP's passes read its
-per-core copy of the relation, ``FlashP.scan``, which answers them bit for
-bit as the caller's frame does and holds no lineage back to the ingest."""
+"""Every Spark pass FlashP runs reads its copy of the relation,
+``FlashP.scan``, which has one partition per core, answers each pass bit
+for bit as the caller's frame does and holds no lineage back to the
+ingest. Every draw hashes each row's id with its seed, so no sample
+depends on the partitioning."""
 from contextlib import closing
 
 import numpy as np
@@ -38,14 +38,13 @@ def _with_flashp(df, call):
 
 
 SCANS = {
-    "exact_series": lambda df: exact_series(df, "gender IN (1)", "click", DAYS),
-    "delta_for_rate": lambda df: delta_for_rate(df, optimal_weight("impression"), 0.1),
-    "pim": lambda df: PIM(df, list(ADS_MEASURES), days=DAYS),
-    "add_uniform_sample": lambda df: _with_flashp(
-        df, lambda fp: fp.add_uniform_sample("u", rate=0.1)),
-    "flashp_full": lambda df: _with_flashp(df, lambda fp: fp.run(
+    "add_gsw_sample": lambda fp: fp.add_gsw_sample("g", rate=0.1, weights="impression"),
+    "add_priority_sample": lambda fp: fp.add_priority_sample("p", rate=0.1, measure="click"),
+    "build_pim": lambda fp: fp.build_pim(),
+    "add_uniform_sample": lambda fp: fp.add_uniform_sample("u", rate=0.1),
+    "flashp_full": lambda fp: fp.run(
         "FORECAST SUM(click) FROM ads WHERE gender IN (1) USING (0, 21)",
-        source="full", arima_kwargs=ARIMA_FAST)),
+        source="full", arima_kwargs=ARIMA_FAST),
 }
 
 
@@ -55,15 +54,15 @@ def test_scan_runs_one_task_per_core(spark, ads_wide_df, name):
     assert ads_wide_df.rdd.getNumPartitions() == WIDE_PARTITIONS > sc.defaultParallelism
     sc.setLocalProperty("spark.jobGroup.id", group)
     try:
-        SCANS[name](ads_wide_df)
+        _with_flashp(ads_wide_df, SCANS[name])
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     tracker = sc.statusTracker()
     jobs = tracker.getJobIdsForGroup(group)
     assert jobs
     # A job's parent stages get lower ids than the stages that read them,
-    # so each job's first stage is the one that scans its input: FlashP's
-    # copy of the table as well as the table itself.
+    # so each job's first stage is the one that scans its input: the
+    # caller's frame, when FlashP builds its copy, or the copy.
     for j in jobs:
         first = min(tracker.getJobInfo(j).stageIds)
         assert tracker.getStageInfo(first).numTasks <= sc.defaultParallelism

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core.task import ForecastTask, Predicate, parse_task, parse_where, rewrite_where
+from repro.synth_data import ADS_DIMS
 
 
 class TestParseWhere:
@@ -43,6 +44,16 @@ class TestParseWhere:
     def test_out_of_range_value_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             parse_where("gender IN (0, 5)")
+
+    def test_equality_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_where("gender = 5")
+
+    @pytest.mark.parametrize("clause", ["age_group < 0", "gender > 1", "age_group >= 7"])
+    def test_empty_value_set_rejected(self, clause):
+        """A predicate that selects no value is an error, not ``IN ()``."""
+        with pytest.raises(ValueError, match=f"predicate '{clause}' selects no value"):
+            parse_where(f"device IN (0) AND {clause}")
 
     def test_disjunction_rejected(self):
         with pytest.raises(ValueError):
@@ -117,6 +128,19 @@ class TestRewriteWhere:
             "USING (0, 9)"
         )
         assert rewrite_where(t) == "age_group IN (0, 1) AND gender IN (0)"
+
+    @pytest.mark.parametrize("dim", ADS_DIMS)
+    def test_parse_of_rewrite_is_identity(self, dim):
+        """Every operator and in-range value of every dimension: parsing the
+        rewritten WHERE gives back the task's predicates."""
+        card = ADS_DIMS[dim]
+        wheres = [f"{dim} {op} {v}" for op in ("=", "<=", ">=") for v in range(card)]
+        wheres += [f"{dim} < {v}" for v in range(1, card)]
+        wheres += [f"{dim} > {v}" for v in range(card - 1)]
+        wheres += [f"{dim} IN ({', '.join(map(str, range(0, card, step)))})" for step in (1, 2)]
+        for where in wheres:
+            t = parse_task(f"FORECAST SUM(click) FROM ads WHERE {where} USING (0, 9)")
+            assert parse_where(rewrite_where(t)) == t.predicates, where
 
     def test_none_when_no_constraint(self):
         t = parse_task("FORECAST SUM(impression) FROM ads USING (0, 9)")

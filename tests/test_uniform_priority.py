@@ -5,7 +5,7 @@ from pyspark.sql import Window
 from pyspark.sql import functions as F
 
 from repro.core.gsw import gsw_sample, increase_delta, uniform_sample
-from repro.sampling.base import est_col, per_core, uniform, with_row_id
+from repro.sampling.base import est_col, uniform, with_row_id
 from repro.sampling.priority import priority_sample
 from repro.synth_data import ADS_MEASURES
 from tests.conftest import DAYS
@@ -75,7 +75,7 @@ def _priority_two_branches(df, k, *, measure, seed):
     """``priority_sample`` as a self-join of the ranked rows with their
     (k+1)-th priority per day: the reference for the one-shuffle draw."""
     m = F.col(measure).cast("double")
-    with_q = per_core(df.withColumn("_q", m / uniform(seed)))
+    with_q = df.withColumn("_q", m / uniform(seed))
     ranked = with_q.withColumn(
         "_rn", F.row_number().over(Window.partitionBy("t").orderBy(F.desc("_q")))
     )
