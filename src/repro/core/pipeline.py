@@ -164,7 +164,12 @@ class FlashP:
         if name in ("full", "pim"):
             raise ValueError(f"sample name {name!r} is reserved for source={name!r}")
         served = {"t", *ADS_DIMS, *map(est_col, ADS_MEASURES)}
-        s = sample.select([c for c in sample.columns if c in served]).toPandas()
+        # Rows in row-id order: the order estimated_series sums them in is
+        # then the sample's own, whatever the copy's partition layout.
+        s = (
+            sample.select("_rid", *(c for c in sample.columns if c in served))
+            .toPandas().sort_values("_rid").drop(columns="_rid").reset_index(drop=True)
+        )
         self._samples[name] = s
         return s
 

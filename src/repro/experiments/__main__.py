@@ -88,12 +88,16 @@ EXPERIMENTS = {
 def run_experiment(
     spark: SparkSession, name: str, cfg: ExpConfig | None = None
 ) -> dict[str, pd.DataFrame]:
-    """Run one experiment on a freshly generated ads relation and write
+    """Run one experiment on its own copy of the ads relation and write
     each of its tables with ``save_result``; returns the tables written,
     by name. ``cfg`` defaults to the entry's committed scale."""
     exp = EXPERIMENTS[name]
     cfg = exp.cfg if cfg is None else cfg
-    frames = exp.run(load_ads(spark, cfg), cfg, **exp.kwargs)
+    df = load_ads(spark, cfg)
+    try:
+        frames = exp.run(df, cfg, **exp.kwargs)
+    finally:
+        df.unpersist()
     if isinstance(frames, pd.DataFrame):
         frames = (frames,)
     out = {}

@@ -43,9 +43,13 @@ class ExpConfig:
 
 
 def load_ads(spark: SparkSession, cfg: ExpConfig) -> DataFrame:
-    """The ads relation for a config, uncached: a harness reads it through
-    a ``FlashP``, whose ``scan`` is the one copy its passes read."""
-    return ads_data(spark, sf=cfg.sf, days=cfg.days, seed=cfg.seed)
+    """Generate + cache the ads relation for a config. ``FlashP`` cuts its
+    copy from the cached blocks; cut from the uncached ingest frame, each of
+    its tasks ships a share of the ingest's Arrow batches (~190 MB a task at
+    SF 0.4), which needs more driver heap than the cache does."""
+    df = ads_data(spark, sf=cfg.sf, days=cfg.days, seed=cfg.seed).cache()
+    df.count()
+    return df
 
 
 def tasks_for(

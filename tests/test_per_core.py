@@ -186,6 +186,14 @@ class TestScanCopy:
         assert len(stored) > 0
         assert _sorted(stored).equals(_sorted(direct.select(*stored.columns).toPandas()))
 
+    def test_store_is_in_row_id_order(self, fp, ads_wide_df):
+        """The store keeps a sample's rows in row-id order, so the order the
+        estimated series sums them in does not depend on the copy's layout."""
+        stored = fp.add_uniform_sample("ordered", rate=RATE, seed=SEED)
+        direct = uniform_sample(with_row_id(ads_wide_df), RATE,
+                                measures=list(ADS_MEASURES), seed=SEED)
+        assert stored.equals(direct.orderBy("_rid").select(*stored.columns).toPandas())
+
     PASSES = {
         "full": (estimators, "exact_series", lambda fp: fp.run(
             "FORECAST SUM(click) FROM ads USING (0, 21)", source="full", arima_kwargs=ARIMA_FAST)),
