@@ -43,10 +43,8 @@ class ExpConfig:
 
 
 def load_ads(spark: SparkSession, cfg: ExpConfig) -> DataFrame:
-    """Generate + cache the ads relation for a config. ``FlashP`` cuts its
-    copy from the cached blocks; cut from the uncached ingest frame, each of
-    its tasks ships a share of the ingest's Arrow batches (~190 MB a task at
-    SF 0.4), which needs more driver heap than the cache does."""
+    """Generate + cache the ads relation for a config, as perfbench builds
+    its own, so ``FlashP`` cuts its copy along the plan that perfbench times."""
     df = ads_data(spark, sf=cfg.sf, days=cfg.days, seed=cfg.seed).cache()
     df.count()
     return df
